@@ -43,13 +43,9 @@ def build():
     catalog = Catalog()
     for alias, relation in dataset.sources.items():
         catalog.register(alias, relation)
-    pipeline = FusionPipeline(catalog)
-    sources = pipeline.step_choose_sources(list(dataset.sources))
-    matching = pipeline.step_schema_matching(sources)
-    combined = pipeline.step_transform(sources, matching)
-    selection = pipeline.step_attribute_selection(combined)
-    detection = pipeline.step_duplicate_detection(combined, selection)
-    return dataset, pipeline, sources, matching, detection
+    session = FusionPipeline(catalog).session(list(dataset.sources))
+    detection = session.advance_to(session.DUPLICATE_DETECTION)
+    return dataset, session.pipeline, session.sources, session.matching, detection
 
 
 def quality(relation, dataset):
@@ -83,7 +79,12 @@ def test_e3_resolution_strategies_vs_baselines(benchmark):
             for column in detection.relation.schema
             if column.name.lower() not in ("objectid", "sourceid")
         ]
-        fusion = pipeline.step_fusion(detection, spec=FusionSpec(resolutions=resolutions))
+        # one detection, fused under every strategy
+        fusion = FusionOperator(
+            FusionSpec(resolutions=resolutions),
+            registry=pipeline.registry,
+            table_name="fused",
+        ).fuse(detection.relation)
         strategy_quality = quality(fusion.relation, dataset)
         strategy_qualities[label] = strategy_quality
         rows.append((f"FUSE BY: {label}",) + tuple(strategy_quality.as_dict().values()))

@@ -1,4 +1,4 @@
-"""The HumMer fusion pipeline (Fig. 2 of the paper).
+"""The HumMer fusion pipeline (Fig. 2 of the paper): its components and its steps.
 
 The six wizard steps are modelled as an explicit, inspectable pipeline:
 
@@ -15,19 +15,20 @@ The six wizard steps are modelled as an explicit, inspectable pipeline:
    (per-column resolution functions) is applied.
 6. *Browse result set* — the clean, consistent result with value lineage.
 
-:class:`FusionPipeline.run` executes all steps automatically (the "usual
-case" of the paper) by advancing one
-:class:`~repro.core.session.FusionSession` to completion; the session is
-also the interactive flow — advance step by step, adjust the intermediate
-artefacts in place, continue (see :mod:`repro.core.session`).  The
-``step_*`` methods remain the underlying per-step primitives.
+Each step is defined exactly once, as a function of the running
+:class:`~repro.core.session.FusionSession` in :data:`WIZARD_STEPS`; the
+session's :meth:`~repro.core.session.FusionSession.advance` dispatches to
+them one at a time (see :mod:`repro.core.session`).  :class:`FusionPipeline`
+is the bundle of ready components those steps read, and
+:meth:`FusionPipeline.run` — the "usual case" of the paper — advances one
+session to completion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from contextlib import nullcontext
+from dataclasses import asdict, astuple, dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.baselines.name_matcher import NameBasedMatcher
 from repro.core.conflicts import ConflictReport, find_conflicts
@@ -37,16 +38,18 @@ from repro.dedup.descriptions import AttributeSelection, select_interesting_attr
 from repro.dedup.detector import DuplicateDetectionResult, DuplicateDetector, OBJECT_ID_COLUMN
 from repro.engine.catalog import Catalog
 from repro.engine.relation import Relation
-from repro.exceptions import ConfigError, HummerError
+from repro.exceptions import HummerError
 from repro.matching.correspondences import CorrespondenceSet
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher, MultiMatchingResult
 from repro.matching.transform import transform_sources
-from repro.prepare import FIELD_KIND, PreparedQueryView, PreparedSources, SourcePreparer
+from repro.prepare import FIELD_KIND, SourcePreparer
 from repro.prepare.artifacts import SEED_KIND
-from repro.prepare.preparer import token_strategy_for
 
-__all__ = ["PipelineTimings", "PipelineResult", "FusionPipeline"]
+if TYPE_CHECKING:
+    from repro.core.session import FusionSession
+
+__all__ = ["PipelineTimings", "PipelineResult", "WizardStep", "WIZARD_STEPS", "FusionPipeline"]
 
 #: The artifact kinds the matching phase consumes — the ``match`` slice of
 #: the reuse/rebuild counters in :meth:`PipelineResult.summary`.
@@ -57,11 +60,14 @@ MATCH_ARTIFACT_KINDS = (SEED_KIND, FIELD_KIND)
 class PipelineTimings:
     """Wall-clock seconds spent in each phase (experiment E4).
 
-    ``prepare`` is the artifact build/validate pass of a prepared run (zero
-    for unprepared pipelines).  On a warm run over unchanged sources it
-    collapses to digest validation, and the matching / candidate-generation
-    shares of the later phases shrink because they merge prepared artifacts
-    instead of recomputing.
+    Each phase sums the per-step clock readings (``StageEvent.seconds``) of
+    the steps whose :data:`WIZARD_STEPS` row names it — the transform runs
+    in ``attribute_selection`` and so counts toward ``duplicate_detection``.
+    ``prepare`` is the artifact build/validate pass of a prepared run (an
+    unprepared run has no prepare phase: it stays ``0.0``).  On a warm run
+    over unchanged sources it collapses to digest validation, and the
+    matching / candidate-generation shares of the later phases shrink
+    because they merge prepared artifacts instead of recomputing.
     """
 
     fetch: float = 0.0
@@ -73,24 +79,15 @@ class PipelineTimings:
     @property
     def total(self) -> float:
         """Total time across all phases."""
-        return (
-            self.fetch
-            + self.prepare
-            + self.matching
-            + self.duplicate_detection
-            + self.fusion
-        )
+        return sum(astuple(self))
+
+    def add(self, phase: str, seconds: float) -> None:
+        """Count *seconds* toward *phase*."""
+        setattr(self, phase, getattr(self, phase) + seconds)
 
     def as_dict(self) -> Dict[str, float]:
         """Phase → seconds mapping (plus the total)."""
-        return {
-            "fetch": self.fetch,
-            "prepare": self.prepare,
-            "matching": self.matching,
-            "duplicate_detection": self.duplicate_detection,
-            "fusion": self.fusion,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass
@@ -168,39 +165,241 @@ class PipelineResult:
         return summary
 
 
-class FusionPipeline:
-    """Automatic (and optionally interactive) data-fusion pipeline.
+# -- the wizard steps -------------------------------------------------------------
+#
+# Each step reads the session's earlier artefacts and the pipeline's
+# components, stores its own artefact on the session and returns
+# ``(artefact, payload)`` — what ``advance()`` returns and the StageEvent /
+# step-report payload.  ``advance()`` times every step; no step reads a clock.
 
-    The pipeline is now a thin layer over one
-    :class:`~repro.core.session.FusionSession` per run: :meth:`run` builds a
-    session and advances it to completion, :meth:`session` hands the session
-    out for step-by-step (adjust-then-continue) use, and the ``step_*``
-    methods remain the underlying per-step primitives.
+
+def _choose_sources(session: "FusionSession"):
+    """Step 1: fetch the relational form of every alias."""
+    if not session.aliases:
+        raise HummerError("a fusion query needs at least one source alias")
+    session.sources = session.pipeline.catalog.fetch_many(session.aliases)
+    return session.sources, {
+        "aliases": list(session.aliases),
+        "tuples": sum(len(source) for source in session.sources),
+    }
+
+
+def _prepare(session: "FusionSession"):
+    """Step 1b: build/validate the per-source artifacts (prepared runs only)."""
+    preparer = session.pipeline.preparer
+    if preparer is None:
+        return None, {}
+    session.prepared = preparer.prepare(session.aliases)
+    return session.prepared, dict(session.prepared.report())
+
+
+def _schema_matching(session: "FusionSession"):
+    """Step 2: instance-based schema matching over all sources.
+
+    With prepared artifacts, seeding statistics and field corpora are merged
+    from the per-source artifacts instead of being recomputed.
+    """
+    pipeline = session.pipeline
+    matcher = pipeline.matcher
+    seeder = getattr(matcher, "seeder", None)
+    counters: Dict[str, int] = {"seeds_scored": 0, "field_matrices": 0}
+    scoring: Dict[str, int] = {"seed_candidates": 0, "seed_cosines": 0}
+
+    # Counters accumulate across source pairs (MultiMatcher matches every
+    # non-preferred source against the preferred one), so `done` is
+    # cumulative over the whole step.
+    def forward(phase: str, done: int, total: int) -> None:
+        counters[phase] = counters.get(phase, 0) + 1
+        session._emit_progress(phase, counters[phase], total)
+
+    def record_scoring(statistics) -> None:
+        scoring["seed_candidates"] += statistics.candidate_count
+        scoring["seed_cosines"] += statistics.scored_count
+
+    hooks = [
+        (matcher, "progress_callback", forward),
+        (seeder, "progress_callback", forward),
+        (seeder, "scoring_listener", record_scoring),
+    ]
+    restore = []
+    for target, attribute, hook in hooks:
+        if target is not None and hasattr(target, attribute):
+            restore.append((target, attribute, getattr(target, attribute)))
+            setattr(target, attribute, hook)
+    try:
+        session.matching = None
+        if len(session.sources) >= 2:
+            fallback = NameBasedMatcher() if pipeline.use_name_fallback else None
+            multi = MultiMatcher(matcher, fallback=fallback)
+            prepared = session.prepared
+            if prepared is not None:
+                with prepared.seeding(seeder), prepared.matching(matcher):
+                    session.matching = multi.match(session.sources)
+            else:
+                session.matching = multi.match(session.sources)
+    finally:
+        for target, attribute, previous in reversed(restore):
+            setattr(target, attribute, previous)
+    matching = session.matching
+    return matching, {
+        "correspondences": len(matching.correspondences) if matching is not None else 0,
+        "seeds_scored": counters["seeds_scored"],
+        "field_matrices": counters["field_matrices"],
+        **scoring,
+    }
+
+
+def _attribute_selection(session: "FusionSession"):
+    """Steps 2b + 3: rename, add sourceID and outer-union the sources (then
+    apply the ``transform_filter``); heuristics select the dedup attributes."""
+    matching = session.matching
+    correspondences = matching.correspondences if matching else CorrespondenceSet()
+    transformed = transform_sources(session.sources, correspondences)
+    if session.transform_filter is not None:
+        transformed = session.transform_filter(transformed)
+    session.transformed = transformed
+    if session.prepared is not None:
+        session.prepared_view = session.prepared.view(
+            transformed,
+            correspondences=matching.correspondences if matching else None,
+            preferred=matching.preferred if matching else None,
+        )
+    if session.skip_detection:
+        return None, {"skipped": True}
+    session.selection = select_interesting_attributes(transformed)
+    return session.selection, {"attributes": list(session.selection.attributes)}
+
+
+def _duplicate_detection(session: "FusionSession"):
+    """Steps 3 + 4: detect duplicates; the caller may then confirm unsure pairs.
+
+    With a prepared view, token indexes and planner profiles are merged from
+    the per-source artifacts (installed on the blocking strategy for this
+    step only) instead of being rebuilt from cell values.
+    """
+    if session.skip_detection:
+        return None, {"skipped": True}
+    counters: Dict[str, int] = {"pairs_scored": 0, "score_batches": 0}
+
+    # The executor reports cumulative pairs per completed batch (one batch
+    # for the serial path, one per merged chunk for the pool).
+    def forward(phase: str, done: int, total: int) -> None:
+        counters["score_batches"] += 1
+        counters["pairs_scored"] = done
+        session._emit_progress(phase, done, total)
+
+    detector = session.pipeline.detector
+    view = session.prepared_view
+    with view.blocking(detector.blocking) if view is not None else nullcontext():
+        session.detection = detector.detect(
+            session.transformed, selection=session.selection, progress_callback=forward
+        )
+    detection = session.detection
+    statistics = detection.filter_statistics
+    payload = {
+        "clusters": detection.cluster_count,
+        "counts": dict(detection.classified.counts),
+        "candidate_pairs": statistics.blocking_candidates,
+        "compared_pairs": statistics.compared,
+        "pairs_scored": counters["pairs_scored"],
+        "score_batches": counters["score_batches"],
+    }
+    if statistics.blocking_plan is not None:
+        payload["blocking_plan"] = statistics.blocking_plan
+    report = detection.clustering_report
+    if report is not None:
+        payload["clustering"] = report.strategy
+        payload["largest_cluster"] = report.largest_cluster
+        payload["chains_split"] = report.chains_split
+    return detection, payload
+
+
+def _conflict_resolution(session: "FusionSession"):
+    """Step 5a: sample the conflicts among detected duplicates."""
+    if session.skip_detection or session.skip_conflicts:
+        return None, {"skipped": True}
+    session.conflicts = find_conflicts(session.detection.relation)
+    return session.conflicts, {
+        "contradictions": session.conflicts.contradiction_count,
+        "uncertainties": session.conflicts.uncertainty_count,
+    }
+
+
+def _fusion(session: "FusionSession"):
+    """Steps 5b + 6: fuse each object into one tuple under the session's spec —
+    the detected clusters, or the transformed union for ``skip_detection``."""
+    operator = FusionOperator(
+        session.spec or FusionSpec(key_columns=[OBJECT_ID_COLUMN]),
+        registry=session.pipeline.registry,
+        table_name="fused",
+        metadata=session.metadata,
+    )
+    # one ("groups_resolved", done, total) event per fused group
+    operator.progress_callback = session._emit_progress
+    detection = session.detection
+    session.fusion = operator.fuse(
+        detection.relation if detection is not None else session.transformed
+    )
+    # timings is the session's live object: advance() adds this step's
+    # seconds after it returns.
+    session.result = PipelineResult(
+        sources=session.sources,
+        matching=session.matching,
+        transformed=session.transformed,
+        attribute_selection=session.selection,
+        detection=detection,
+        conflicts=session.conflicts,
+        fusion=session.fusion,
+        timings=session.timings,
+        prepared=session.prepared.report() if session.prepared is not None else None,
+    )
+    return session.fusion, {
+        "output_tuples": len(session.fusion.relation),
+        "groups_resolved": session.fusion.output_tuple_count,
+    }
+
+
+class WizardStep(NamedTuple):
+    """One row of the step table: the step's name, the :class:`PipelineTimings`
+    phase its seconds count toward, and ``run(session) -> (artefact, payload)``."""
+
+    name: str
+    phase: str
+    run: Callable[["FusionSession"], Tuple[Any, Dict[str, Any]]]
+
+
+#: The step table: every wizard step in execution order, with its phase.
+WIZARD_STEPS = (
+    WizardStep("choose_sources", "fetch", _choose_sources),
+    WizardStep("prepare", "prepare", _prepare),
+    WizardStep("schema_matching", "matching", _schema_matching),
+    WizardStep("attribute_selection", "duplicate_detection", _attribute_selection),
+    WizardStep("duplicate_detection", "duplicate_detection", _duplicate_detection),
+    WizardStep("conflict_resolution", "fusion", _conflict_resolution),
+    WizardStep("fusion", "fusion", _fusion),
+)
+
+
+class FusionPipeline:
+    """The ready components one fusion run uses — a bundle the wizard steps read.
+
+    :class:`~repro.hummer.HumMer` builds this bundle from its
+    :class:`~repro.config.FusionConfig` (:meth:`HumMer.pipeline`); direct
+    construction takes already-built components.  :meth:`session` hands out
+    a :class:`~repro.core.session.FusionSession` for step-by-step
+    (adjust-then-continue) use: advance it, mutate ``session.matching`` /
+    ``session.selection`` / ``session.detection``, continue.  :meth:`run`
+    advances one session to completion.
 
     Args:
         catalog: metadata repository holding the registered sources.
-        config: a :class:`repro.config.FusionConfig` describing matcher,
-            detector and preparation declaratively.  Explicit *matcher* /
-            *detector* / *prepare* objects override the corresponding
-            config sections (object injection for advanced use).
-        matcher: pairwise schema matcher (default: from config / DUMAS).
-        detector: duplicate detector (default: from config).
+        matcher: pairwise schema matcher (default: DUMAS).
+        detector: duplicate detector (default settings).
         registry: resolution-function registry (default: all built-ins).
         use_name_fallback: when instance-based matching finds nothing for a
-            relation, fall back to label-based matching instead of failing
-            (``None`` → from config, default ``True``).
-        prepare: per-source artifact preparation (see :mod:`repro.prepare`) —
-            ``True`` builds a :class:`SourcePreparer` against the catalog's
-            artifact store (token parameters mirrored from the detector's
-            blocking strategy, seeding sample limit from the matcher), a
-            ready :class:`SourcePreparer` is used as-is, ``None``/``False``
-            disables preparation.  ``None`` with a config whose
-            ``prepare.mode`` is set builds a preparer from the config.
-
-    Mid-run adjustment lives on the session (adjust-then-continue):
-    :meth:`session`, then mutate ``session.matching`` / ``session.selection``
-    / ``session.detection`` between
-    :meth:`~repro.core.session.FusionSession.advance` calls.
+            relation, fall back to label-based matching instead of failing.
+        prepare: the :class:`SourcePreparer` of a prepared run (see
+            :mod:`repro.prepare`), or ``None`` for an unprepared one.
     """
 
     def __init__(
@@ -209,151 +408,20 @@ class FusionPipeline:
         matcher: Optional[DumasMatcher] = None,
         detector: Optional[DuplicateDetector] = None,
         registry: Optional[ResolutionRegistry] = None,
-        use_name_fallback: Optional[bool] = None,
-        prepare: Union[bool, SourcePreparer, None] = None,
-        config=None,
+        use_name_fallback: bool = True,
+        prepare: Optional[SourcePreparer] = None,
     ):
+        if prepare is not None and not isinstance(prepare, SourcePreparer):
+            raise TypeError(
+                "prepare must be a SourcePreparer or None; HumMer(config=...) "
+                "builds one from config.prepare"
+            )
         self.catalog = catalog
-        self.config = config
-        if config is not None:
-            matcher = matcher or config.matching.build_matcher()
-            detector = detector or config.dedup.build_detector()
-            if use_name_fallback is None:
-                use_name_fallback = config.matching.use_name_fallback
-            if prepare is None and config.prepare.mode is not None:
-                prepare = True
-            # The artifact store lives on the caller-supplied catalog, so a
-            # config artifact_dir the catalog does not match would be
-            # silently ignored — fail loudly instead of dropping the field.
-            if config.prepare.artifact_dir is not None:
-                if catalog.artifacts.directory != Path(config.prepare.artifact_dir):
-                    raise ConfigError(
-                        "config.prepare.artifact_dir "
-                        f"({config.prepare.artifact_dir!r}) does not match the "
-                        "catalog's artifact directory "
-                        f"({str(catalog.artifacts.directory)!r}); construct the "
-                        "catalog with Catalog(artifact_dir=...) — "
-                        "HumMer(config=...) does this automatically"
-                    )
         self.matcher = matcher or DumasMatcher()
         self.detector = detector or DuplicateDetector()
         self.registry = registry or default_registry()
-        self.use_name_fallback = True if use_name_fallback is None else use_name_fallback
-        if isinstance(prepare, SourcePreparer):
-            self.preparer: Optional[SourcePreparer] = prepare
-        elif prepare:
-            self.preparer = SourcePreparer(
-                catalog,
-                token_strategy=token_strategy_for(self.detector.blocking),
-                seed_sample_limit=self.matcher.seeder.max_tuples_per_relation,
-            )
-        else:
-            self.preparer = None
-
-    # -- individual steps ---------------------------------------------------------
-
-    def step_choose_sources(self, aliases: Sequence[str]) -> List[Relation]:
-        """Step 1: fetch the relational form of every alias."""
-        if not aliases:
-            raise HummerError("a fusion query needs at least one source alias")
-        return self.catalog.fetch_many(aliases)
-
-    def step_prepare(self, aliases: Sequence[str]) -> Optional[PreparedSources]:
-        """Step 1b: build/validate the per-source artifacts (prepared runs only)."""
-        if self.preparer is None:
-            return None
-        return self.preparer.prepare(aliases)
-
-    def step_schema_matching(
-        self,
-        sources: List[Relation],
-        prepared: Optional[PreparedSources] = None,
-    ) -> Optional[MultiMatchingResult]:
-        """Step 2: instance-based schema matching over all sources.
-
-        With *prepared* artifacts, seed discovery reads each source's stored
-        TF-IDF statistics, the SoftTFIDF field corpus is merged from stored
-        per-source document frequencies, and only the cross-source merges
-        and pair scoring run per query.
-        """
-        if len(sources) < 2:
-            return None
-        fallback = NameBasedMatcher() if self.use_name_fallback else None
-        multi = MultiMatcher(self.matcher, fallback=fallback)
-        if prepared is not None:
-            with prepared.seeding(self.matcher.seeder), prepared.matching(self.matcher):
-                result = multi.match(sources)
-        else:
-            result = multi.match(sources)
-        return result
-
-    def step_transform(
-        self, sources: List[Relation], matching: Optional[MultiMatchingResult]
-    ) -> Relation:
-        """Step 2b: rename, add sourceID and outer-union the sources."""
-        correspondences = matching.correspondences if matching else CorrespondenceSet()
-        return transform_sources(sources, correspondences)
-
-    def step_attribute_selection(self, transformed: Relation) -> AttributeSelection:
-        """Step 3: heuristics select the attributes for duplicate detection."""
-        return select_interesting_attributes(transformed)
-
-    def step_duplicate_detection(
-        self,
-        transformed: Relation,
-        selection: AttributeSelection,
-        prepared_view: Optional[PreparedQueryView] = None,
-        progress_callback: Optional[Callable[[str, int, int], None]] = None,
-    ) -> DuplicateDetectionResult:
-        """Steps 3+4: detect duplicates, then let the caller confirm unsure pairs.
-
-        With a *prepared_view*, token indexes and planner profiles are merged
-        from the per-source artifacts instead of being rebuilt from cell
-        values (providers are installed on the blocking strategy only for
-        the duration of this step).
-
-        *progress_callback* is invoked by the scoring executor as candidate
-        batches complete — ``("pairs_scored", done, total)``, cumulative over
-        the run — mirroring the fusion operator's group-at-a-time stream.
-        """
-        # with_overrides carries every detector field over automatically, so
-        # a newly added knob can no longer be silently dropped here.
-        detector = self.detector.with_overrides(selection=selection)
-        detector.progress_callback = progress_callback
-        if prepared_view is not None:
-            with prepared_view.blocking(detector.blocking):
-                result = detector.detect(transformed)
-        else:
-            result = detector.detect(transformed)
-        return result
-
-    def step_conflicts(self, detection: DuplicateDetectionResult) -> ConflictReport:
-        """Step 5a: sample the conflicts among detected duplicates."""
-        return find_conflicts(detection.relation)
-
-    def step_fusion(
-        self,
-        detection: DuplicateDetectionResult,
-        spec: Optional[FusionSpec] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        progress_callback: Optional[Callable[[str, int, int], None]] = None,
-    ) -> FusionResult:
-        """Steps 5b+6: fuse each cluster into one tuple under the given spec.
-
-        *progress_callback* is forwarded to the operator's group-at-a-time
-        stream (``("groups_resolved", done, total)`` per fused cluster).
-        """
-        fusion_spec = spec or FusionSpec(key_columns=[OBJECT_ID_COLUMN])
-        operator = FusionOperator(
-            fusion_spec,
-            registry=self.registry,
-            table_name="fused",
-            metadata=metadata,
-        )
-        operator.progress_callback = progress_callback
-        return operator.fuse(detection.relation)
-
-    # -- the automatic end-to-end run -----------------------------------------------
+        self.use_name_fallback = use_name_fallback
+        self.preparer = prepare
 
     def session(
         self,

@@ -22,9 +22,11 @@ Progress on long runs is observable through subscribe-able
 :class:`StageEvent`\\ s carrying per-step wall-clock seconds and payloads
 (artifact reuse counters, the blocking plan report, classification counts).
 
-A session run and :meth:`FusionPipeline.run` are the *same* code path —
-``run()`` is now a thin loop over one session — so stepping manually and
-running automatically produce bit-identical :class:`PipelineResult`\\ s.
+Each step is defined once, in the step table
+:data:`~repro.core.pipeline.WIZARD_STEPS`, and :meth:`FusionSession.advance`
+— the only clock — dispatches to it.  :meth:`FusionPipeline.run` is a loop
+over one session, so stepping manually and running automatically produce
+bit-identical :class:`PipelineResult`\\ s.
 
 Sessions survive process restarts: :meth:`FusionSession.to_dict` captures a
 JSON-able snapshot (aliases, step cursor, per-step reports, duplicate
@@ -40,30 +42,26 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.fusion import FusionOperator, FusionSpec, ResolutionSpec
-from repro.core.pipeline import PipelineResult, PipelineTimings
+from repro.core.fusion import FusionSpec, ResolutionSpec
+from repro.core.pipeline import WIZARD_STEPS, PipelineResult, PipelineTimings
 from repro.core.resolution.base import ResolutionFunction
 from repro.dedup.detector import OBJECT_ID_COLUMN
 from repro.engine.relation import Relation
-from repro.exceptions import HummerError
+from repro.exceptions import HummerError, SnapshotError
 
 __all__ = ["SESSION_STEPS", "SNAPSHOT_VERSION", "StageEvent", "ProgressEvent", "FusionSession"]
 
 #: Version tag written into (and required from) session snapshots.
 SNAPSHOT_VERSION = 1
 
-#: The wizard steps, in execution order.  ``prepare`` is the paper's step 1b
-#: (a no-op for unprepared sessions); ``schema_matching`` covers steps 2+2b
-#: once the transform runs at the start of ``attribute_selection``.
-SESSION_STEPS = (
-    "choose_sources",
-    "prepare",
-    "schema_matching",
-    "attribute_selection",
-    "duplicate_detection",
-    "conflict_resolution",
-    "fusion",
-)
+#: The wizard steps, in execution order (the names of the step table
+#: :data:`~repro.core.pipeline.WIZARD_STEPS`).  ``prepare`` is the paper's
+#: step 1b (a no-op for unprepared sessions); the transform (step 2b) runs at
+#: the start of ``attribute_selection``.
+SESSION_STEPS = tuple(step.name for step in WIZARD_STEPS)
+
+#: The duplicate-detection segments a snapshot records pair membership of.
+SEGMENTS = ("sure_duplicates", "unsure", "sure_non_duplicates")
 
 #: Terminal pseudo-step reported by :attr:`FusionSession.current_step`.
 DONE = "done"
@@ -148,23 +146,54 @@ def _spec_to_dict(spec: Optional[FusionSpec]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _spec_from_dict(data: Optional[Dict[str, Any]]) -> Optional[FusionSpec]:
+def _spec_from_dict(data: Dict[str, Any]) -> FusionSpec:
     """Inverse of :func:`_spec_to_dict`."""
-    if data is None:
-        return None
     resolutions = []
     for item in data.get("resolutions", ()):
         function = item.get("function")
         if isinstance(function, list):
-            function = (function[0], list(function[1]))
-        resolutions.append(
-            ResolutionSpec(item["column"], function, alias=item.get("alias"))
-        )
+            name, arguments = function
+            function = (_string(name), list(arguments))
+        elif function is not None:
+            function = _string(function)
+        alias = item.get("alias")
+        if alias is not None:
+            _string(alias)
+        resolutions.append(ResolutionSpec(_string(item["column"]), function, alias=alias))
     return FusionSpec(
-        key_columns=list(data.get("key_columns", (OBJECT_ID_COLUMN,))),
+        key_columns=_strings(data.get("key_columns", [OBJECT_ID_COLUMN])),
         resolutions=resolutions,
         keep_source_column=bool(data.get("keep_source_column", False)),
     )
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _strings(values) -> List[str]:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
+    return [_string(value) for value in values]
+
+
+def _snapshot_field(data: Dict[str, Any], name: str, parse, default=None):
+    """Snapshot field *name* read by *parse*; *default* when absent or null.
+
+    Raises :class:`SnapshotError` naming the field when its value has the
+    wrong shape.
+    """
+    value = data.get(name)
+    if value is None:
+        return default
+    try:
+        return parse(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise SnapshotError(
+            f"malformed session snapshot field {name!r}: {error}"
+        ) from None
 
 
 class FusionSession:
@@ -175,8 +204,9 @@ class FusionSession:
     completion, read :attr:`result`.
 
     Args:
-        pipeline: the :class:`~repro.core.pipeline.FusionPipeline` providing
-            the per-step primitives (matcher, detector, registry, preparer).
+        pipeline: the :class:`~repro.core.pipeline.FusionPipeline` whose
+            components (catalog, matcher, detector, registry, preparer) the
+            steps use.
         aliases: catalog aliases of the sources to fuse (wizard step 1).
         spec: fusion spec for step 5; ``None`` means fuse on ``objectID``
             with Coalesce everywhere.
@@ -237,15 +267,6 @@ class FusionSession:
         self._decisions_applied = False
         self._listeners: List[Callable[[StageEvent], None]] = []
         self._progress_listeners: List[Callable[[ProgressEvent], None]] = []
-        self._runners = {
-            self.CHOOSE_SOURCES: self._run_choose_sources,
-            self.PREPARE: self._run_prepare,
-            self.SCHEMA_MATCHING: self._run_schema_matching,
-            self.ATTRIBUTE_SELECTION: self._run_attribute_selection,
-            self.DUPLICATE_DETECTION: self._run_duplicate_detection,
-            self.CONFLICT_RESOLUTION: self._run_conflict_resolution,
-            self.FUSION: self._run_fusion,
-        }
 
     # -- state inspection ----------------------------------------------------------
 
@@ -299,10 +320,11 @@ class FusionSession:
 
         return unsubscribe
 
-    def _emit_progress(self, step: str, phase: str, done: int, total: int) -> None:
+    def _emit_progress(self, phase: str, done: int, total: int) -> None:
+        """Report intra-step progress of the running (current) step."""
         if not self._progress_listeners:
             return
-        event = ProgressEvent(step=step, phase=phase, done=done, total=total)
+        event = ProgressEvent(step=self.current_step, phase=phase, done=done, total=total)
         for listener in list(self._progress_listeners):
             listener(event)
 
@@ -315,17 +337,24 @@ class FusionSession:
         (remove correspondences, change the attribute selection, decide
         unsure pairs + :meth:`apply_duplicate_decisions`) — the library
         counterpart of the demo's GUI interventions.
+
+        The step runs from the step table and is timed here, once: that one
+        reading is the :class:`StageEvent`'s ``seconds``, the step report's
+        ``seconds`` and the step's share of :attr:`timings`.
         """
         if self.is_done:
             raise HummerError("the session is complete; construct a new one to re-run")
-        step = SESSION_STEPS[self._cursor]
+        step = WIZARD_STEPS[self._cursor]
         started = time.perf_counter()
-        artefact, payload = self._runners[step]()
+        artefact, payload = step.run(self)
         seconds = time.perf_counter() - started
         self._cursor += 1
-        self.step_reports[step] = {"seconds": seconds, "payload": dict(payload)}
+        # An unprepared run has no prepare phase: its no-op step counts nowhere.
+        if step.name != self.PREPARE or self.prepared is not None:
+            self.timings.add(step.phase, seconds)
+        self.step_reports[step.name] = {"seconds": seconds, "payload": dict(payload)}
         event = StageEvent(
-            step=step,
+            step=step.name,
             index=self._cursor,
             total=len(SESSION_STEPS),
             seconds=seconds,
@@ -433,7 +462,7 @@ class FusionSession:
             # decisions alone would not reproduce such demotions on resume.
             segments = {
                 name: [list(score.as_tuple()) for score in getattr(classified, name)]
-                for name in ("sure_duplicates", "unsure", "sure_non_duplicates")
+                for name in SEGMENTS
             }
         digests = None
         if self.sources is not None:
@@ -469,58 +498,69 @@ class FusionSession:
         happened.  Source content digests are verified right after
         ``choose_sources``: resuming over changed data raises
         :class:`HummerError`.
+
+        Raises:
+            SnapshotError: for a malformed snapshot — not an object, an
+                unsupported version, a step list that is not a prefix of the
+                wizard steps, or a field of the wrong shape.  Every field is
+                checked before the first step replays.
         """
+        if not isinstance(data, dict):
+            raise SnapshotError(
+                f"a session snapshot must be an object, got {type(data).__name__}"
+            )
         version = data.get("version")
         if version != SNAPSHOT_VERSION:
-            raise HummerError(
+            raise SnapshotError(
                 f"unsupported session snapshot version {version!r} "
                 f"(expected {SNAPSHOT_VERSION})"
             )
-        completed = [str(step) for step in data.get("completed_steps", ())]
+        completed = _snapshot_field(data, "completed_steps", _strings, [])
         if tuple(completed) != SESSION_STEPS[: len(completed)]:
-            raise HummerError(
+            raise SnapshotError(
                 "snapshot completed_steps "
                 f"{completed!r} is not a prefix of the wizard steps"
             )
+        aliases = _snapshot_field(data, "aliases", _strings, [])
+        spec = _snapshot_field(data, "spec", _spec_from_dict)
+        metadata = _snapshot_field(data, "metadata", dict)
+        segments = _snapshot_field(data, "classified_segments", lambda value: value and {
+            name: [(int(left), int(right)) for left, right in value.get(name, ())]
+            for name in SEGMENTS
+        })
+        decisions = _snapshot_field(data, "decisions", lambda value: {
+            (int(left), int(right)): bool(accept) for left, right, accept in value
+        }, {})
+        digests = _snapshot_field(data, "source_digests", lambda value: [
+            (_string(alias), _string(digest)) for alias, digest in value
+        ])
+        decisions_applied = bool(data.get("decisions_applied", False))
         session = cls(
             pipeline,
-            data.get("aliases", ()),
-            spec=_spec_from_dict(data.get("spec")),
-            metadata=data.get("metadata"),
+            aliases,
+            spec=spec,
+            metadata=metadata,
             skip_detection=bool(data.get("skip_detection", False)),
             skip_conflicts=bool(data.get("skip_conflicts", False)),
         )
-        decisions = data.get("decisions") or []
-        decisions_applied = bool(data.get("decisions_applied", False))
         for step in completed:
             session.advance()
             if step == cls.CHOOSE_SOURCES:
-                session._verify_source_digests(data.get("source_digests"))
+                session._verify_source_digests(digests)
             if step == cls.DUPLICATE_DETECTION and session.detection is not None:
                 classified = session.detection.classified
-                segments = data.get("classified_segments")
                 if segments:
                     by_pair = {
                         score.as_tuple(): score
-                        for name in (
-                            "sure_duplicates", "unsure", "sure_non_duplicates"
-                        )
+                        for name in SEGMENTS
                         for score in getattr(classified, name)
                     }
-                    for name in (
-                        "sure_duplicates", "unsure", "sure_non_duplicates"
-                    ):
-                        restored = []
-                        for left, right in segments.get(name, ()):
-                            score = by_pair.get((int(left), int(right)))
-                            if score is not None:
-                                restored.append(score)
-                        setattr(classified, name, restored)
+                    for name in SEGMENTS:
+                        setattr(classified, name, [
+                            by_pair[pair] for pair in segments[name] if pair in by_pair
+                        ])
                 if decisions:
-                    classified.decisions = {
-                        (int(left), int(right)): bool(accept)
-                        for left, right, accept in decisions
-                    }
+                    classified.decisions = decisions
                 if decisions_applied:
                     session.apply_duplicate_decisions()
         return session
@@ -540,188 +580,3 @@ class FusionSession:
                     "snapshotted (content digest mismatch); re-run the "
                     "fusion instead of resuming"
                 )
-
-    # -- step implementations ------------------------------------------------------
-    #
-    # Each runner returns (artefact, event payload).  Timing attribution
-    # into PipelineTimings keeps the pre-session phase semantics: transform
-    # counts as matching, selection as duplicate detection, conflicts as
-    # fusion.
-
-    def _run_choose_sources(self):
-        started = time.perf_counter()
-        self.sources = self.pipeline.step_choose_sources(self.aliases)
-        self.timings.fetch += time.perf_counter() - started
-        payload = {
-            "aliases": list(self.aliases),
-            "tuples": sum(len(source) for source in self.sources),
-        }
-        return self.sources, payload
-
-    def _run_prepare(self):
-        started = time.perf_counter()
-        self.prepared = self.pipeline.step_prepare(self.aliases)
-        if self.prepared is not None:
-            self.timings.prepare += time.perf_counter() - started
-        return self.prepared, (
-            dict(self.prepared.report()) if self.prepared is not None else {}
-        )
-
-    def _run_schema_matching(self):
-        matcher = self.pipeline.matcher
-        seeder = getattr(matcher, "seeder", None)
-        counters: Dict[str, int] = {"seeds_scored": 0, "field_matrices": 0}
-        scoring: Dict[str, int] = {"seed_candidates": 0, "seed_cosines": 0}
-
-        # Counters accumulate across source pairs (MultiMatcher matches
-        # every non-preferred source against the preferred one), so `done`
-        # is cumulative over the whole step.
-        def forward(phase: str, done: int, total: int) -> None:
-            counters[phase] = counters.get(phase, 0) + 1
-            self._emit_progress(self.SCHEMA_MATCHING, phase, counters[phase], total)
-
-        def record_scoring(statistics) -> None:
-            scoring["seed_candidates"] += statistics.candidate_count
-            scoring["seed_cosines"] += statistics.scored_count
-
-        restore = []
-        if hasattr(matcher, "progress_callback"):
-            restore.append((matcher, "progress_callback", matcher.progress_callback))
-            matcher.progress_callback = forward
-        if seeder is not None and hasattr(seeder, "progress_callback"):
-            restore.append((seeder, "progress_callback", seeder.progress_callback))
-            seeder.progress_callback = forward
-        if seeder is not None and hasattr(seeder, "scoring_listener"):
-            restore.append((seeder, "scoring_listener", seeder.scoring_listener))
-            seeder.scoring_listener = record_scoring
-        started = time.perf_counter()
-        try:
-            self.matching = self.pipeline.step_schema_matching(
-                self.sources, self.prepared
-            )
-        finally:
-            for target, attribute, previous in reversed(restore):
-                setattr(target, attribute, previous)
-        self.timings.matching += time.perf_counter() - started
-        payload = {
-            "correspondences": (
-                len(self.matching.correspondences) if self.matching is not None else 0
-            ),
-            "seeds_scored": counters["seeds_scored"],
-            "field_matrices": counters["field_matrices"],
-        }
-        payload.update(scoring)
-        return self.matching, payload
-
-    def _run_attribute_selection(self):
-        started = time.perf_counter()
-        transformed = self.pipeline.step_transform(self.sources, self.matching)
-        if self.transform_filter is not None:
-            transformed = self.transform_filter(transformed)
-        self.transformed = transformed
-        self.timings.matching += time.perf_counter() - started
-        if self.prepared is not None:
-            self.prepared_view = self.prepared.view(
-                transformed,
-                correspondences=self.matching.correspondences if self.matching else None,
-                preferred=self.matching.preferred if self.matching else None,
-            )
-        if self.skip_detection:
-            return None, {"skipped": True}
-        started = time.perf_counter()
-        self.selection = self.pipeline.step_attribute_selection(transformed)
-        self.timings.duplicate_detection += time.perf_counter() - started
-        return self.selection, {"attributes": list(self.selection.attributes)}
-
-    def _run_duplicate_detection(self):
-        if self.skip_detection:
-            return None, {"skipped": True}
-        counters: Dict[str, int] = {"pairs_scored": 0, "score_batches": 0}
-
-        # The executor reports cumulative pairs per completed batch (one
-        # batch for the serial path, one per merged chunk for the pool).
-        def forward(phase: str, done: int, total: int) -> None:
-            counters["score_batches"] += 1
-            counters["pairs_scored"] = done
-            self._emit_progress(self.DUPLICATE_DETECTION, phase, done, total)
-
-        started = time.perf_counter()
-        self.detection = self.pipeline.step_duplicate_detection(
-            self.transformed,
-            self.selection,
-            prepared_view=self.prepared_view,
-            progress_callback=forward,
-        )
-        self.timings.duplicate_detection += time.perf_counter() - started
-        statistics = self.detection.filter_statistics
-        payload = {
-            "clusters": self.detection.cluster_count,
-            "counts": dict(self.detection.classified.counts),
-            "candidate_pairs": statistics.blocking_candidates,
-            "compared_pairs": statistics.compared,
-            "pairs_scored": counters["pairs_scored"],
-            "score_batches": counters["score_batches"],
-        }
-        if statistics.blocking_plan is not None:
-            payload["blocking_plan"] = statistics.blocking_plan
-        report = self.detection.clustering_report
-        if report is not None:
-            payload["clustering"] = report.strategy
-            payload["largest_cluster"] = report.largest_cluster
-            payload["chains_split"] = report.chains_split
-        return self.detection, payload
-
-    def _run_conflict_resolution(self):
-        if self.skip_detection or self.skip_conflicts:
-            return None, {"skipped": True}
-        started = time.perf_counter()
-        self.conflicts = self.pipeline.step_conflicts(self.detection)
-        self.timings.fusion += time.perf_counter() - started
-        payload = {
-            "contradictions": self.conflicts.contradiction_count,
-            "uncertainties": self.conflicts.uncertainty_count,
-        }
-        return self.conflicts, payload
-
-    def _run_fusion(self):
-        counters: Dict[str, int] = {"groups_resolved": 0}
-
-        def forward(phase: str, done: int, total: int) -> None:
-            counters[phase] = counters.get(phase, 0) + 1
-            self._emit_progress(self.FUSION, phase, done, total)
-
-        started = time.perf_counter()
-        if self.detection is not None:
-            self.fusion = self.pipeline.step_fusion(
-                self.detection,
-                spec=self.spec,
-                metadata=self.metadata,
-                progress_callback=forward,
-            )
-        else:
-            # skip_detection: fuse the transformed union directly (the
-            # FUSE BY key shape step_fusion cannot express)
-            operator = FusionOperator(
-                self.spec or FusionSpec(key_columns=[OBJECT_ID_COLUMN]),
-                registry=self.pipeline.registry,
-                table_name="fused",
-                metadata=self.metadata,
-            )
-            operator.progress_callback = forward
-            self.fusion = operator.fuse(self.transformed)
-        self.timings.fusion += time.perf_counter() - started
-        self.result = PipelineResult(
-            sources=self.sources,
-            matching=self.matching,
-            transformed=self.transformed,
-            attribute_selection=self.selection,
-            detection=self.detection,
-            conflicts=self.conflicts,
-            fusion=self.fusion,
-            timings=self.timings,
-            prepared=self.prepared.report() if self.prepared is not None else None,
-        )
-        return self.fusion, {
-            "output_tuples": len(self.fusion.relation),
-            "groups_resolved": counters["groups_resolved"],
-        }

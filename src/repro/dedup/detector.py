@@ -6,9 +6,8 @@ the input relation, but enriched by an objectID column for identification."
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dedup.blocking import BlockingSpec, resolve_blocking
 from repro.dedup.classification import ClassifiedPairs, classify_pairs
@@ -108,15 +107,7 @@ class DuplicateDetector:
             :class:`~repro.dedup.executor.ScoringExecutor` instance, a name
             (``"serial"``, ``"multiprocess"``) or ``None`` for the in-process
             serial baseline.
-
-    The plain :attr:`progress_callback` attribute (not a constructor field,
-    so :meth:`with_overrides` copies stay clean) is handed to the candidate
-    generator: executors invoke it as scoring batches complete —
-    ``("pairs_scored", cumulative_pairs, total_candidates)``.
     """
-
-    #: Optional ``(phase, done, total)`` scoring-progress callable.
-    progress_callback = None
 
     def __init__(
         self,
@@ -144,39 +135,22 @@ class DuplicateDetector:
         self.clustering = resolve_clustering(clustering)
         self.executor = resolve_executor(executor)
 
-    def with_overrides(self, **overrides) -> "DuplicateDetector":
-        """A copy of this detector with the given constructor fields replaced.
+    def detect(
+        self,
+        relation: Relation,
+        selection: Optional[AttributeSelection] = None,
+        progress_callback: Optional[Callable[[str, int, int], None]] = None,
+    ) -> DuplicateDetectionResult:
+        """Run duplicate detection on *relation* and append the objectID column.
 
-        The copy carries *every* constructor field over (the field set is
-        read from the constructor signature, not spelled out by hand), so a
-        newly added detector knob can never be silently dropped by a caller
-        that rebuilds the detector field by field — the historical source of
-        latent configuration drift in ``step_duplicate_detection``.
-
-        Raises:
-            TypeError: on an override that is not a constructor field.
-            AttributeError: if a constructor field is not stored under its
-                own name — a loud signal to fix the new field rather than
-                lose it.
+        *selection* (the wizard's adjusted step-3 selection) wins over the
+        detector's own; without either, the heuristics of
+        :func:`select_interesting_attributes` run on *relation*.
+        *progress_callback* is handed to the scoring executor, which invokes
+        it as batches complete — ``("pairs_scored", cumulative_pairs,
+        total_candidates)``.
         """
-        parameters = [
-            name
-            for name in inspect.signature(type(self).__init__).parameters
-            if name != "self"
-        ]
-        unknown = sorted(set(overrides) - set(parameters))
-        if unknown:
-            raise TypeError(
-                f"unknown detector field(s) {', '.join(map(repr, unknown))} "
-                f"(known: {', '.join(parameters)})"
-            )
-        settings = {name: getattr(self, name) for name in parameters}
-        settings.update(overrides)
-        return type(self)(**settings)
-
-    def detect(self, relation: Relation) -> DuplicateDetectionResult:
-        """Run duplicate detection on *relation* and append the objectID column."""
-        selection = self.selection or select_interesting_attributes(relation)
+        selection = selection or self.selection or select_interesting_attributes(relation)
         measure = DuplicateSimilarityMeasure(selection).fit(relation)
         generator = CandidatePairGenerator(
             measure,
@@ -186,22 +160,12 @@ class DuplicateDetector:
             keep_evidence=self.keep_evidence,
             blocking=self.blocking,
             executor=self.executor,
-            progress_callback=self.progress_callback,
+            progress_callback=progress_callback,
         )
         scores = generator.score_pairs(relation)
         classified = classify_pairs(scores, self.threshold, self.uncertainty_band)
-        assignment, report = self._cluster_accepted(relation, classified)
-        enriched = relation.with_column(
-            Column(OBJECT_ID_COLUMN, DataType.INTEGER), assignment
-        )
-        return DuplicateDetectionResult(
-            relation=enriched,
-            cluster_assignment=assignment,
-            classified=classified,
-            scores=scores,
-            selection=selection,
-            filter_statistics=generator.filter.statistics,
-            clustering_report=report,
+        return self._clustered(
+            relation, classified, scores, selection, generator.filter.statistics
         )
 
     def redetect_with_decisions(
@@ -212,34 +176,36 @@ class DuplicateDetector:
         Comparison scores are reused; only the clustering and the objectID
         column are recomputed.
         """
-        assignment, report = self._cluster_accepted(relation, result.classified)
-        enriched = relation.with_column(
-            Column(OBJECT_ID_COLUMN, DataType.INTEGER), assignment
-        )
-        return DuplicateDetectionResult(
-            relation=enriched,
-            cluster_assignment=assignment,
-            classified=result.classified,
-            scores=result.scores,
-            selection=result.selection,
-            filter_statistics=result.filter_statistics,
-            clustering_report=report,
+        return self._clustered(
+            relation, result.classified, result.scores, result.selection, result.filter_statistics
         )
 
-    def _cluster_accepted(
-        self, relation: Relation, classified: ClassifiedPairs
-    ) -> Tuple[List[int], ClusteringReport]:
-        """Group the accepted pairs with the configured clustering strategy."""
-        scored = classified.accepted_scored_pairs(
-            accept_unsure_by_default=self.accept_unsure
-        )
-        edges = [
-            (pair.left_index, pair.right_index, pair.similarity) for pair in scored
-        ]
+    def _clustered(
+        self,
+        relation: Relation,
+        classified: ClassifiedPairs,
+        scores: List[PairScore],
+        selection: AttributeSelection,
+        statistics: FilterStatistics,
+    ) -> DuplicateDetectionResult:
+        """Group the accepted pairs with the configured clustering strategy and
+        append the resulting objectID column."""
+        scored = classified.accepted_scored_pairs(accept_unsure_by_default=self.accept_unsure)
+        edges = [(pair.left_index, pair.right_index, pair.similarity) for pair in scored]
         sources = (
             relation.column(SOURCE_COLUMN)
             if relation.schema.has_column(SOURCE_COLUMN)
             else None
         )
-        result = self.clustering.cluster(len(relation), edges, sources)
-        return result.assignment, result.report
+        clustering = self.clustering.cluster(len(relation), edges, sources)
+        return DuplicateDetectionResult(
+            relation=relation.with_column(
+                Column(OBJECT_ID_COLUMN, DataType.INTEGER), clustering.assignment
+            ),
+            cluster_assignment=clustering.assignment,
+            classified=classified,
+            scores=scores,
+            selection=selection,
+            filter_statistics=statistics,
+            clustering_report=clustering.report,
+        )

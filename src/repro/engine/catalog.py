@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 from repro.engine.io.base import DataSource
 from repro.engine.io.inline import InlineSource
 from repro.engine.relation import Relation
-from repro.exceptions import CatalogError
+from repro.exceptions import SourceExistsError, UnknownSourceError
 
 __all__ = ["SourceEntry", "Catalog"]
 
@@ -97,7 +97,7 @@ class Catalog:
         key = alias.lower()
         replacing = key in self._entries
         if replacing and not replace:
-            raise CatalogError(f"alias {alias!r} is already registered")
+            raise SourceExistsError(f"alias {alias!r} is already registered")
         if isinstance(source, Relation):
             source = InlineSource(source)
         elif not isinstance(source, DataSource):
@@ -116,7 +116,7 @@ class Catalog:
         """Remove a registered source."""
         key = alias.lower()
         if key not in self._entries:
-            raise CatalogError(f"alias {alias!r} is not registered")
+            raise UnknownSourceError(f"alias {alias!r} is not registered")
         del self._entries[key]
         self._cache.pop(key, None)
         self.artifacts.invalidate(key)
@@ -141,7 +141,7 @@ class Catalog:
         try:
             return self._entries[alias.lower()]
         except KeyError:
-            raise CatalogError(
+            raise UnknownSourceError(
                 f"unknown source alias {alias!r}; registered: {', '.join(self.aliases()) or '(none)'}"
             ) from None
 

@@ -6,8 +6,6 @@
   duplicate detection, plus cluster-level exactness.
 * :mod:`repro.evaluation.fusion_metrics` — completeness, conciseness and
   correctness of a fused result (the data-fusion quality dimensions).
-* :mod:`repro.evaluation.timing` — simple wall-clock measurement helpers for
-  the scalability experiment.
 """
 
 from repro.evaluation.matching_metrics import PrecisionRecall, evaluate_correspondences
@@ -17,7 +15,6 @@ from repro.evaluation.dedup_metrics import (
     pairs_from_clusters,
 )
 from repro.evaluation.fusion_metrics import FusionQuality, evaluate_fusion
-from repro.evaluation.timing import Timer, time_call
 
 __all__ = [
     "PrecisionRecall",
@@ -27,6 +24,4 @@ __all__ = [
     "pairs_from_clusters",
     "FusionQuality",
     "evaluate_fusion",
-    "Timer",
-    "time_call",
 ]

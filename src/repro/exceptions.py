@@ -22,6 +22,14 @@ class ConfigError(HummerError, ValueError):
     """
 
 
+class SnapshotError(HummerError, ValueError):
+    """A session snapshot is malformed (wrong shape, version or step list).
+
+    A :class:`ValueError` like :class:`ConfigError`: the snapshot is bad
+    input, so the service answers 400 rather than a pipeline failure.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Relational engine
 # ---------------------------------------------------------------------------
@@ -61,6 +69,14 @@ class ExpressionError(EngineError):
 
 class CatalogError(EngineError):
     """A source alias is unknown or already registered."""
+
+
+class UnknownSourceError(CatalogError):
+    """A source alias is not registered."""
+
+
+class SourceExistsError(CatalogError):
+    """A source alias is already registered (and ``replace`` was not asked for)."""
 
 
 class SourceError(EngineError):

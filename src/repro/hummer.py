@@ -24,8 +24,9 @@ instead of the historical pile of keyword arguments::
 
 Object injection (``matcher=`` / ``detector=``) remains the escape hatch for
 already-constructed strategy instances; every other knob lives on the config
-tree.  See ``docs/api.md`` for the full surface and ``docs/service.md`` for
-the HTTP service built on top of it.
+tree, and :meth:`HumMer.pipeline` is the one place it becomes components.
+See ``docs/api.md`` for the full surface and ``docs/service.md`` for the
+HTTP service built on top of it.
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ class HumMer:
             registry=self.registry,
             matcher=self.matcher,
             detector=self.detector,
-            preparer_factory=lambda: (
-                self._preparer() if self.prepare_mode is not None else None
-            ),
+            preparer_factory=self._preparer,
         )
 
     # -- configuration -------------------------------------------------------------
@@ -182,7 +181,10 @@ class HumMer:
         )
         return prepared.report()
 
-    def _preparer(self) -> SourcePreparer:
+    def _preparer(self) -> Optional[SourcePreparer]:
+        """The :class:`SourcePreparer` of the instance-wide mode (``None`` without one)."""
+        if self.prepare_mode is None:
+            return None
         return SourcePreparer(
             self.catalog,
             token_strategy=token_strategy_for(self.detector.blocking),
@@ -231,9 +233,7 @@ class HumMer:
         resolution functions; unmentioned columns use Coalesce.  Without
         *resolutions*, the config's ``resolution`` section (if any) applies.
         """
-        return self.pipeline().run(
-            aliases, spec=self._fusion_spec(resolutions), metadata=metadata
-        )
+        return self.session(aliases, resolutions=resolutions, metadata=metadata).run()
 
     def session(
         self,
@@ -280,19 +280,13 @@ class HumMer:
             return FusionSpec(resolutions=specs)
         return self.config.resolution.build_spec()
 
-    def pipeline(self, **overrides) -> FusionPipeline:
-        """A :class:`FusionPipeline` bound to this instance's catalog and settings.
-
-        Keyword overrides are passed through to the pipeline constructor
-        (mid-run adjustment lives on :meth:`session`, not on constructor
-        hooks).
-        """
-        options = {
-            "matcher": self.matcher,
-            "detector": self.detector,
-            "registry": self.registry,
-            "use_name_fallback": self.config.matching.use_name_fallback,
-            "prepare": self._preparer() if self.prepare_mode is not None else None,
-        }
-        options.update(overrides)
-        return FusionPipeline(self.catalog, **options)
+    def pipeline(self) -> FusionPipeline:
+        """The components this instance's config resolves to, bundled for a session."""
+        return FusionPipeline(
+            self.catalog,
+            matcher=self.matcher,
+            detector=self.detector,
+            registry=self.registry,
+            use_name_fallback=self.config.matching.use_name_fallback,
+            prepare=self._preparer(),
+        )

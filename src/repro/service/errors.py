@@ -23,6 +23,7 @@ from repro.exceptions import (
     QueryError,
     SchemaError,
     SourceError,
+    SourceExistsError,
 )
 
 __all__ = ["ApiError", "error_payload", "status_for_exception"]
@@ -50,8 +51,7 @@ def status_for_exception(exc: BaseException) -> int:
     if isinstance(exc, (TimeoutError, asyncio.TimeoutError)):
         return 504
     if isinstance(exc, CatalogError):
-        # "already registered" is a conflict, "unknown alias" is missing
-        return 409 if "registered" in str(exc) else 404
+        return 409 if isinstance(exc, SourceExistsError) else 404
     if isinstance(exc, (ConfigError, QueryError, SourceError, SchemaError)):
         return 400
     if isinstance(exc, (KeyError, ValueError, TypeError)):

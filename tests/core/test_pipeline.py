@@ -16,41 +16,38 @@ def make_pipeline(catalog, **overrides):
 
 
 class TestPipelineSteps:
+    """Each wizard step, driven through a session with ``advance_to``."""
+
     def test_choose_sources(self, catalog):
-        pipeline = FusionPipeline(catalog)
-        sources = pipeline.step_choose_sources(["EE_Students", "CS_Students"])
+        session = FusionPipeline(catalog).session(["EE_Students", "CS_Students"])
+        sources = session.advance_to(session.CHOOSE_SOURCES)
         assert [s.name for s in sources] == ["EE_Students", "CS_Students"]
 
     def test_choose_sources_requires_aliases(self, catalog):
+        session = FusionPipeline(catalog).session([])
         with pytest.raises(HummerError):
-            FusionPipeline(catalog).step_choose_sources([])
+            session.advance_to(session.CHOOSE_SOURCES)
 
     def test_schema_matching_step(self, catalog):
-        pipeline = FusionPipeline(catalog)
-        sources = pipeline.step_choose_sources(["EE_Students", "CS_Students"])
-        matching = pipeline.step_schema_matching(sources)
+        session = FusionPipeline(catalog).session(["EE_Students", "CS_Students"])
+        matching = session.advance_to(session.SCHEMA_MATCHING)
         assert matching is not None
         assert len(matching.correspondences) >= 2
 
     def test_schema_matching_skipped_for_single_source(self, catalog):
-        pipeline = FusionPipeline(catalog)
-        sources = pipeline.step_choose_sources(["EE_Students"])
-        assert pipeline.step_schema_matching(sources) is None
+        session = FusionPipeline(catalog).session(["EE_Students"])
+        assert session.advance_to(session.SCHEMA_MATCHING) is None
 
     def test_transform_step_adds_source_id(self, catalog):
-        pipeline = FusionPipeline(catalog)
-        sources = pipeline.step_choose_sources(["EE_Students", "CS_Students"])
-        matching = pipeline.step_schema_matching(sources)
-        combined = pipeline.step_transform(sources, matching)
+        session = FusionPipeline(catalog).session(["EE_Students", "CS_Students"])
+        session.advance_to(session.ATTRIBUTE_SELECTION)
+        combined = session.transformed
         assert SOURCE_ID_COLUMN in combined.schema
         assert len(combined) == 7
 
     def test_detection_step_adds_object_id(self, catalog):
-        pipeline = make_pipeline(catalog)
-        sources = pipeline.step_choose_sources(["EE_Students", "CS_Students"])
-        combined = pipeline.step_transform(sources, pipeline.step_schema_matching(sources))
-        selection = pipeline.step_attribute_selection(combined)
-        detection = pipeline.step_duplicate_detection(combined, selection)
+        session = make_pipeline(catalog).session(["EE_Students", "CS_Students"])
+        detection = session.advance_to(session.DUPLICATE_DETECTION)
         assert OBJECT_ID_COLUMN in detection.relation.schema
         # Anna and Ben appear in both faculties: 7 tuples, 5 real persons
         assert detection.cluster_count == 5

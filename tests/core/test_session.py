@@ -324,26 +324,16 @@ class TestSkipConflicts:
 
 
 class TestPipelineConfig:
-    def test_pipeline_rejects_mismatched_artifact_dir(self, catalog, tmp_path):
-        """config.prepare.artifact_dir must match the catalog's store, not be
-        silently ignored."""
-        from repro.config import PrepareConfig
-        from repro.exceptions import ConfigError
-
-        config = FusionConfig(
-            prepare=PrepareConfig(mode="lazy", artifact_dir=str(tmp_path))
-        )
-        with pytest.raises(ConfigError, match="artifact_dir"):
-            FusionPipeline(catalog, config=config)
-
     def test_pipeline_accepts_matching_artifact_dir(self, tmp_path):
+        """HumMer(config=...) builds the catalog's artifact store from
+        config.prepare.artifact_dir, so its pipeline prepares against it."""
         from repro.config import PrepareConfig
-        from repro.engine.catalog import Catalog
 
         config = FusionConfig(
             prepare=PrepareConfig(mode="lazy", artifact_dir=str(tmp_path))
         )
-        pipeline = FusionPipeline(Catalog(artifact_dir=str(tmp_path)), config=config)
+        pipeline = HumMer(config=config).pipeline()
+        assert pipeline.catalog.artifacts.directory == tmp_path
         assert pipeline.preparer is not None
 
 

@@ -14,7 +14,7 @@ from repro.core.fusion import FusionSpec, ResolutionSpec
 from repro.core.resolution import ResolutionContext, ResolutionFunction
 from repro.core.session import SNAPSHOT_VERSION, FusionSession
 from repro.engine.io.csv_source import CsvSource
-from repro.exceptions import HummerError
+from repro.exceptions import HummerError, SnapshotError
 from repro.hummer import HumMer
 
 GOLDEN_DIR = Path(__file__).parent.parent / "fixtures" / "golden"
@@ -182,6 +182,35 @@ class TestRejectedSnapshots:
         snapshot["completed_steps"] = ["schema_matching"]
         with pytest.raises(HummerError, match="prefix"):
             golden_hummer().restore_session(snapshot)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda snapshot: [1, 2],
+            lambda snapshot: "x",
+            lambda snapshot: {**snapshot, "spec": "x"},
+            lambda snapshot: {**snapshot, "spec": {"resolutions": [5]}},
+            lambda snapshot: {**snapshot, "spec": {"resolutions": [{"column": 5}]}},
+            lambda snapshot: {**snapshot, "classified_segments": ["a"]},
+            lambda snapshot: {**snapshot, "aliases": ["crm", 7]},
+            lambda snapshot: {**snapshot, "decisions": [[0, 1]]},
+            lambda snapshot: {**snapshot, "metadata": [1, 2]},
+        ],
+        ids=[
+            "list", "string", "spec", "resolution", "column", "segments",
+            "aliases", "decisions", "metadata",
+        ],
+    )
+    def test_malformed_snapshot_raises_snapshot_error(self, corrupt):
+        """Malformed snapshots fail typed, before any step replays."""
+        session = golden_hummer().session(["crm", "shop"])
+        session.advance_to(session.DUPLICATE_DETECTION)
+        snapshot = session.to_dict()
+        with pytest.raises(SnapshotError) as caught:
+            golden_hummer().restore_session(corrupt(snapshot))
+        # typed as bad input: the service maps ValueError to 400
+        assert isinstance(caught.value, ValueError)
+        assert isinstance(caught.value, HummerError)
 
     def test_changed_source_data_rejected(self, catalog):
         hummer = HumMer()

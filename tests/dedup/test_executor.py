@@ -355,18 +355,15 @@ class TestEvidenceAndThreading:
     def test_configured_pipeline_executor(self, small_students_dataset):
         from repro.config import DedupConfig, FusionConfig
         from repro.core.pipeline import FusionPipeline
-        from repro.engine.catalog import Catalog
+        from repro.hummer import HumMer
 
         dataset = small_students_dataset
-        catalog = Catalog()
+        hummer = HumMer(config=FusionConfig(dedup=DedupConfig(executor="multiprocess")))
         for alias, relation in dataset.sources.items():
-            catalog.register(alias, relation)
-        pipeline = FusionPipeline(
-            catalog, config=FusionConfig(dedup=DedupConfig(executor="multiprocess"))
-        )
-        assert isinstance(pipeline.detector.executor, MultiprocessExecutor)
-        result = pipeline.run(list(dataset.sources))
-        serial_result = FusionPipeline(catalog).run(list(dataset.sources))
+            hummer.register(alias, relation)
+        assert isinstance(hummer.pipeline().detector.executor, MultiprocessExecutor)
+        result = hummer.fuse(list(dataset.sources))
+        serial_result = FusionPipeline(hummer.catalog).run(list(dataset.sources))
         assert result.detection.cluster_assignment == (
             serial_result.detection.cluster_assignment
         )

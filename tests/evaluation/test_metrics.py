@@ -6,13 +6,11 @@ from repro.engine.relation import Relation
 from repro.evaluation import (
     FusionQuality,
     PrecisionRecall,
-    Timer,
     evaluate_clusters,
     evaluate_correspondences,
     evaluate_duplicate_pairs,
     evaluate_fusion,
     pairs_from_clusters,
-    time_call,
 )
 from repro.matching.correspondences import Correspondence, CorrespondenceSet
 
@@ -170,23 +168,3 @@ class TestFusionQuality:
         quality = FusionQuality(1.0, 1.0, 1.0, 2, 2)
         assert quality.as_dict()["tuples"] == 2
 
-
-class TestTiming:
-    def test_timer_records_and_averages(self):
-        timer = Timer()
-        timer.record("phase", 1.0)
-        timer.record("phase", 3.0)
-        assert timer.mean("phase") == 2.0
-        assert timer.total("phase") == 4.0
-        assert timer.as_dict() == {"phase": 2.0}
-        assert timer.mean("missing") == 0.0
-
-    def test_timer_measure_returns_result(self):
-        timer = Timer()
-        assert timer.measure("add", lambda: 1 + 1) == 2
-        assert timer.measurements["add"][0] >= 0.0
-
-    def test_time_call(self):
-        result, seconds = time_call(lambda: sum(range(100)))
-        assert result == 4950
-        assert seconds >= 0.0

@@ -184,17 +184,17 @@ class TestBackpressure:
             session = client.create_session(aliases)["session"]
 
             tenant = server.state.tenants[client.tenant]
-            live = tenant.sessions[session].session
+            catalog = tenant.sessions[session].session.pipeline.catalog
             started = threading.Event()
             release = threading.Event()
-            original = live._runners["choose_sources"]
+            original = catalog.fetch_many
 
-            def gated_step():
+            def gated_fetch(aliases):  # holds choose_sources until released
                 started.set()
                 release.wait(timeout=30)
-                return original()
+                return original(aliases)
 
-            live._runners["choose_sources"] = gated_step
+            catalog.fetch_many = gated_fetch
             tenant.max_queued = 0
             try:
                 slow = threading.Thread(
@@ -219,7 +219,7 @@ class TestBackpressure:
                 tenant.max_queued = server.state.max_queued
                 release.set()
                 slow.join(timeout=30)
-                live._runners["choose_sources"] = original
+                del catalog.fetch_many
         finally:
             client.delete_tenant()
 

@@ -1,6 +1,6 @@
-"""Regression tests for the four service-layer bugs fixed in ISSUE 8.
+"""Regression tests for service-layer bugs, each failing against the pre-fix service.
 
-Each test fails against the pre-fix service:
+Routing, orphaned steps, batch decisions and event streams:
 
 1. ``GET /tenants/{t}/sessions/{s}/foo/bar`` returned 200 session status
    (extra path segments collapsed to "no action") instead of 404.
@@ -11,6 +11,14 @@ Each test fails against the pre-fix service:
    mid-list left earlier items confirmed and mapped to a 500.
 4. ``DELETE /tenants/{t}`` left open ``/events`` streams waiting forever
    on sessions that could no longer advance.
+
+Snapshots and catalog errors:
+
+5. ``POST /tenants/{t}/sessions`` with a malformed snapshot (not an object,
+   or a spec / resolution / segment list of the wrong shape) answered
+   ``500 AttributeError`` instead of 400.
+6. Any catalog error whose message contained "registered" answered 409,
+   including the unknown-alias messages, which are 404s.
 """
 
 import threading
@@ -56,14 +64,14 @@ class TestOrphanedSteps:
         session = client.create_session(aliases)["session"]
 
         tenant = server.state.tenants[client.tenant]
-        live = tenant.sessions[session].session
-        original = live._runners["choose_sources"]
+        catalog = tenant.sessions[session].session.pipeline.catalog
+        original = catalog.fetch_many
 
-        def slow_step():
+        def slow_fetch(aliases):  # makes choose_sources slow
             time.sleep(0.5)
-            return original()
+            return original(aliases)
 
-        live._runners["choose_sources"] = slow_step
+        catalog.fetch_many = slow_fetch
         old_timeout = server.state.step_timeout
         server.state.step_timeout = 0.05
         try:
@@ -80,7 +88,7 @@ class TestOrphanedSteps:
             assert client.tenant_status()["admission"]["orphaned"]
         finally:
             server.state.step_timeout = old_timeout
-            live._runners["choose_sources"] = original
+            del catalog.fetch_many
 
         settle_tenant(client)
         # the orphaned step completed exactly once in the background;
@@ -148,3 +156,64 @@ class TestTenantDeleteEndsStreams:
         assert events[-1]["event"] == "end"
         assert events[-1]["reason"] == "tenant_deleted"
         assert events[-1]["is_done"] is False
+
+
+def golden_snapshot(client, golden_csv):
+    """A valid snapshot of a session paused after duplicate detection."""
+    aliases = upload_golden(client, golden_csv)
+    session = client.create_session(aliases)["session"]
+    client.advance(session, to="duplicate_detection")
+    return client.snapshot(session)
+
+
+class TestMalformedSnapshots:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda snapshot: [1, 2],
+            lambda snapshot: "x",
+            lambda snapshot: {**snapshot, "spec": "x"},
+            lambda snapshot: {**snapshot, "spec": {"resolutions": [5]}},
+            lambda snapshot: {**snapshot, "classified_segments": ["a"]},
+        ],
+        ids=["list", "string", "spec", "resolution", "segments"],
+    )
+    def test_malformed_snapshot_is_400(self, server, client, golden_csv, corrupt):
+        snapshot = golden_snapshot(client, golden_csv)
+        with pytest.raises(ServiceError) as caught:
+            client.restore_session(corrupt(snapshot))
+        assert caught.value.status == 400
+        assert caught.value.error_type == "SnapshotError"
+        # the valid snapshot still restores
+        assert client.restore_session(snapshot)["completed_steps"] == (
+            snapshot["completed_steps"]
+        )
+
+
+class TestCatalogErrorStatus:
+    def test_advancing_over_an_unknown_alias_is_404(self, server, client, golden_csv):
+        upload_golden(client, golden_csv)
+        session = client.create_session(["crm", "zz"])["session"]
+        with pytest.raises(ServiceError) as caught:
+            client.advance(session)
+        assert caught.value.status == 404
+        assert "unknown source alias 'zz'; registered: crm, shop" in caught.value.message
+
+    def test_querying_an_unknown_alias_is_404(self, server, client, golden_csv):
+        upload_golden(client, golden_csv)
+        with pytest.raises(ServiceError) as caught:
+            client.query("SELECT * FUSE FROM crm, zz")
+        assert caught.value.status == 404
+
+    def test_deleting_an_unknown_source_is_404(self, server, client):
+        with pytest.raises(ServiceError) as caught:
+            client._request("DELETE", client._tenant_path("/sources/zz"))
+        assert caught.value.status == 404
+        assert "is not registered" in caught.value.message
+
+    def test_duplicate_upload_is_still_409(self, server, client, golden_csv):
+        upload_golden(client, golden_csv)
+        with pytest.raises(ServiceError) as caught:
+            client.upload_csv("crm", golden_csv["crm"])
+        assert caught.value.status == 409
+        assert "already registered" in caught.value.message

@@ -13,6 +13,7 @@ same commit and call the change out in the PR.
 """
 
 import inspect
+import pkgutil
 
 import pytest
 
@@ -80,6 +81,18 @@ SESSION_EXPORTS = sorted(
     ["SESSION_STEPS", "SNAPSHOT_VERSION", "StageEvent", "ProgressEvent", "FusionSession"]
 )
 
+EVALUATION_EXPORTS = sorted(
+    [
+        "PrecisionRecall",
+        "evaluate_correspondences",
+        "evaluate_duplicate_pairs",
+        "evaluate_clusters",
+        "pairs_from_clusters",
+        "FusionQuality",
+        "evaluate_fusion",
+    ]
+)
+
 GRAPHCLUSTER_EXPORTS = sorted(
     [
         "ClusteringStrategy",
@@ -111,9 +124,10 @@ SIGNATURES = {
     "HumMer.session": ["self", "aliases", "resolutions", "metadata"],
     "HumMer.enable_prepare": ["self", "mode"],
     "HumMer.restore_session": ["self", "snapshot"],
+    "HumMer.pipeline": ["self"],
     "FusionPipeline.__init__": [
         "self", "catalog", "matcher", "detector", "registry",
-        "use_name_fallback", "prepare", "config",
+        "use_name_fallback", "prepare",
     ],
     "FusionPipeline.run": ["self", "aliases", "spec", "metadata"],
     "FusionPipeline.session": [
@@ -144,7 +158,7 @@ SIGNATURES = {
         "cross_source_only", "selection", "accept_unsure", "keep_evidence",
         "blocking", "clustering", "executor",
     ],
-    "DuplicateDetector.with_overrides": ["self", "overrides"],
+    "DuplicateDetector.detect": ["self", "relation", "selection", "progress_callback"],
 }
 
 OWNERS = {
@@ -199,6 +213,34 @@ class TestSignatures:
         )
 
 
+class TestRemovedSurface:
+    """What the one-step-table redesign deleted stays deleted.
+
+    Each wizard step is defined once, in ``repro.core.pipeline``'s step
+    table, so ``FusionPipeline`` keeps no ``step_*`` methods.
+    ``DuplicateDetector.detect`` takes the selection and progress callback
+    as arguments, so the detector keeps no clone helper and no class-level
+    callback.  The session's ``advance()`` is the only clock, so
+    ``repro.evaluation`` keeps its metrics and no timing helpers.
+    """
+
+    def test_pipeline_keeps_no_step_methods(self):
+        assert [name for name in vars(FusionPipeline) if name.startswith("step_")] == []
+
+    def test_detector_keeps_only_detect_and_redetect(self):
+        public = sorted(name for name in vars(DuplicateDetector) if not name.startswith("_"))
+        assert public == ["detect", "redetect_with_decisions"]
+
+    def test_evaluation_keeps_only_metrics(self):
+        import repro.evaluation
+
+        assert sorted(repro.evaluation.__all__) == EVALUATION_EXPORTS
+        modules = sorted(
+            module.name for module in pkgutil.iter_modules(repro.evaluation.__path__)
+        )
+        assert modules == ["dedup_metrics", "fusion_metrics", "matching_metrics"]
+
+
 class TestRetiredShims:
     """The pre-config kwarg spellings of ISSUE 5 are gone, not tolerated.
 
@@ -230,6 +272,8 @@ class TestRetiredShims:
             {"adjust_matching": lambda m: None},
             {"adjust_selection": lambda s: None},
             {"adjust_duplicates": lambda d: None},
+            {"config": FusionConfig()},
+            {"prepare": True},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
