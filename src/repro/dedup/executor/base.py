@@ -71,8 +71,9 @@ class ScoringBatch:
     use_filter: bool
     keep_evidence: bool
     #: Lazily built per-process :class:`ColumnarPairScorer`; its memo tables
-    #: (trigram sets, cell-pair similarities, soft-IDF weights) persist
-    #: across the chunks a worker scores.  Never pickled.
+    #: (trigram sets, cell-pair similarities, prepared cells, token-pair
+    #: Jaro-Winkler scores, soft-IDF weights) persist across the chunks a
+    #: worker scores.  Never pickled.
     _scorer: Optional[object] = field(
         default=None, repr=False, compare=False
     )

@@ -36,7 +36,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.dedup.descriptions import AttributeSelection
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
-from repro.similarity.numeric import value_similarity
+from repro.similarity.jaro import jaro_winkler_similarity
+from repro.similarity.numeric import (
+    PreparedValue,
+    numeric_similarity,
+    prepared_similarity,
+    value_similarity,
+)
 
 __all__ = ["PairEvidence", "DuplicateSimilarityMeasure", "ColumnarPairScorer"]
 
@@ -196,8 +202,15 @@ class DuplicateSimilarityMeasure:
         evidence.similarity = weighted_sum / weight_total if weight_total > 0 else 0.0
         return evidence
 
-    def _attribute_similarity(self, attribute: str, left, right) -> float:
-        """Per-attribute similarity: range-scaled for numbers, sharpened overall."""
+    def _attribute_similarity(
+        self, attribute: str, left, right, values=value_similarity
+    ) -> float:
+        """Per-attribute similarity: range-scaled for numbers, sharpened overall.
+
+        *values* scores the pairs that are not range-scaled; the columnar
+        scorer passes :func:`value_similarity` over its memoised prepared
+        cells.
+        """
         both_numeric = (
             isinstance(left, (int, float))
             and isinstance(right, (int, float))
@@ -205,11 +218,9 @@ class DuplicateSimilarityMeasure:
             and not isinstance(right, bool)
         )
         if both_numeric and attribute in self._numeric_scales:
-            from repro.similarity.numeric import numeric_similarity
-
             raw = numeric_similarity(float(left), float(right), scale=self._numeric_scales[attribute])
         else:
-            raw = value_similarity(left, right)
+            raw = values(left, right)
         if self.sharpness == 1.0:
             return raw
         return raw ** self.sharpness
@@ -291,13 +302,23 @@ class ColumnarPairScorer:
       no tuple hashing;
     * per-attribute cell-pair similarities, keyed by the cell values (with
       their types, mirroring the cross-type care of ``content_key``);
+    * per-attribute prepared cells (:class:`~repro.similarity.numeric.PreparedValue`:
+      inferred type, normalised text, tokens, parsed date), keyed the same
+      way and filled for the cells candidate pairs touch, so a cell-pair
+      miss no longer re-derives per-value work;
+    * one scorer-wide ``(token, token)`` Jaro-Winkler table for the
+      Monge-Elkan comparisons of multi-word values;
     * per-attribute soft-IDF weights, keyed by the cell value.
+
+    The tables live on the scorer only (never at module level, never
+    pickled), so they are freed with the batch.
 
     **Bit-identity**: memoisation only short-circuits pure functions of the
     measure's fitted state, and the per-pair weighted accumulation runs in the
     same attribute order as ``explain_rows``, so every returned float is
     byte-identical to the per-pair loop.  Parity is asserted by the executor
-    test suite and bench E4's columnar series.
+    test suite and bench E4's columnar series; the frozen pair-score fixtures
+    pin both paths to the same bits.
     """
 
     def __init__(
@@ -317,7 +338,9 @@ class ColumnarPairScorer:
             weight = measure.selection.weights.get(attribute, 1.0)
             self._attributes.append((attribute, column, mask, weight))
         self._similarity_caches: List[Dict] = [{} for _ in self._attributes]
+        self._cell_caches: List[Dict] = [{} for _ in self._attributes]
         self._idf_caches: List[Dict] = [{} for _ in self._attributes]
+        self._token_similarities: Dict[Tuple[str, str], float] = {}
         self._trigram_sets: Dict[int, frozenset] = {}
 
     # -- upper bound ---------------------------------------------------------------
@@ -405,15 +428,20 @@ class ColumnarPairScorer:
         """One attribute's ``(similarity, weight)`` per pair (``None`` = missing).
 
         The similarity is memoised per distinct (left value, right value)
-        cell pair and the soft-IDF per distinct cell value, both keyed with
-        the values' types so Python's cross-type equality (``True == 1``)
-        cannot conflate cells that normalise differently.  Unhashable cells
-        fall back to direct computation.
+        cell pair, the prepared cell and the soft-IDF per distinct cell
+        value, all keyed with the values' types so Python's cross-type
+        equality (``True == 1``) cannot conflate cells that normalise
+        differently.  Unhashable cells fall back to direct computation.
         """
         measure = self.measure
         attribute, column, mask, base_weight = self._attributes[slot]
         similarity_cache = self._similarity_caches[slot]
         idf_cache = self._idf_caches[slot]
+
+        def soft_idf(value) -> float:
+            return measure.soft_idf(attribute, value)
+
+        values = self._prepared_value_similarity(self._cell_caches[slot])
         results: List[Optional[Tuple[float, float]]] = []
         for i, j in pairs:
             if mask[i] or mask[j]:
@@ -425,25 +453,51 @@ class ColumnarPairScorer:
                 pair_key = (left.__class__, left, right.__class__, right)
                 similarity = similarity_cache.get(pair_key)
                 if similarity is None:
-                    similarity = measure._attribute_similarity(attribute, left, right)
+                    similarity = measure._attribute_similarity(attribute, left, right, values)
                     similarity_cache[pair_key] = similarity
             except TypeError:  # unhashable cell value
-                similarity = measure._attribute_similarity(attribute, left, right)
+                similarity = measure._attribute_similarity(attribute, left, right, values)
             idf = max(
-                self._soft_idf(idf_cache, attribute, left),
-                self._soft_idf(idf_cache, attribute, right),
+                _per_value(idf_cache, left, soft_idf), _per_value(idf_cache, right, soft_idf)
             )
             weight = base_weight * (0.25 + 0.75 * idf)
             results.append((similarity, weight))
         return results
 
-    def _soft_idf(self, cache: Dict, attribute: str, value) -> float:
-        try:
-            key = (value.__class__, value)
-            cached = cache.get(key)
-            if cached is None:
-                cached = self.measure.soft_idf(attribute, value)
-                cache[key] = cached
-            return cached
-        except TypeError:  # unhashable cell value
-            return self.measure.soft_idf(attribute, value)
+    def _prepared_value_similarity(self, cells: Dict):
+        """:func:`value_similarity` of two non-null cells through *cells*,
+        one attribute's prepared-cell table, and the scorer's token table."""
+        token_similarity = self._token_similarity
+
+        def similarity(left, right) -> float:
+            return prepared_similarity(
+                _per_value(cells, left, PreparedValue),
+                _per_value(cells, right, PreparedValue),
+                token_similarity,
+            )
+
+        return similarity
+
+    def _token_similarity(self, token: str, other: str) -> float:
+        """Jaro-Winkler of two tokens, memoised scorer-wide for Monge-Elkan."""
+        key = (token, other)
+        similarity = self._token_similarities.get(key)
+        if similarity is None:
+            similarity = self._token_similarities[key] = jaro_winkler_similarity(token, other)
+        return similarity
+
+
+def _per_value(cache: Dict, value, compute):
+    """``compute(value)``, memoised in *cache* under ``(type, value)``.
+
+    Keying with the type keeps Python's cross-type equality (``True == 1``)
+    from sharing an entry; unhashable cells are computed directly.
+    """
+    try:
+        key = (value.__class__, value)
+        result = cache.get(key)
+        if result is None:
+            result = cache[key] = compute(value)
+        return result
+    except TypeError:  # unhashable cell value
+        return compute(value)

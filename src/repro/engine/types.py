@@ -86,6 +86,12 @@ def is_null(value: Any) -> bool:
 
 
 def _parse_date(text: str) -> Optional[_dt.date]:
+    # Every format opens with %Y, %d or %m, whose strptime patterns start
+    # with a decimal digit (or, for %d, a space), so any other first
+    # character fails all seven formats: skip the seven raised ValueErrors.
+    # ``isdigit`` accepts a superset of those digits, so no date is lost.
+    if not text or not (text[0].isdigit() or text[0] == " "):
+        return None
     for fmt in _DATE_FORMATS:
         try:
             parsed = _dt.datetime.strptime(text, fmt)

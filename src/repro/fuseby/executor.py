@@ -23,12 +23,12 @@ Semantics implemented:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.fusion import FusionResult, FusionSpec
 from repro.core.pipeline import FusionPipeline
 from repro.core.resolution.base import ResolutionRegistry, default_registry
-from repro.dedup.detector import DuplicateDetector, OBJECT_ID_COLUMN
+from repro.dedup.detector import OBJECT_ID_COLUMN
 from repro.engine.catalog import Catalog
 from repro.engine.operators import (
     CrossProduct,
@@ -46,7 +46,6 @@ from repro.exceptions import PlanningError
 from repro.fuseby.ast import FuseByQuery, ResolveItem, SelectItem, StarItem
 from repro.fuseby.parser import parse_query
 from repro.fuseby.planner import Planner, QueryPlan
-from repro.matching.dumas import DumasMatcher
 
 __all__ = ["QueryExecutor"]
 
@@ -58,20 +57,20 @@ class QueryExecutor:
         self,
         catalog: Catalog,
         registry: Optional[ResolutionRegistry] = None,
-        matcher: Optional[DumasMatcher] = None,
-        detector: Optional[DuplicateDetector] = None,
-        preparer_factory=None,
+        pipeline_factory: Optional[Callable[[], FusionPipeline]] = None,
     ):
         self.catalog = catalog
         self.registry = registry or default_registry()
-        self.matcher = matcher or DumasMatcher()
-        self.detector = detector or DuplicateDetector()
         self.planner = Planner(self.registry)
-        #: Zero-argument callable returning the current
-        #: :class:`~repro.prepare.SourcePreparer` (or ``None``) — a callable
-        #: rather than an instance so HumMer's preparation mode, which can be
-        #: switched on after construction, is observed per query.
-        self.preparer_factory = preparer_factory
+        #: Zero-argument callable returning the :class:`FusionPipeline` a
+        #: fusion query's session runs on.  :class:`~repro.hummer.HumMer`
+        #: passes its :meth:`~repro.hummer.HumMer.pipeline`, so every query
+        #: sees the instance's current configuration (matching fallback,
+        #: preparation mode) exactly as :meth:`~repro.hummer.HumMer.fuse`
+        #: does; a standalone executor runs default components.
+        self.pipeline_factory = pipeline_factory or (
+            lambda: FusionPipeline(catalog, registry=self.registry)
+        )
         #: Optional :class:`~repro.core.session.ProgressEvent` listener
         #: subscribed to every fusion query's session, so SQL-driven runs
         #: stream the same intra-step progress (seeds scored, field matrices
@@ -157,13 +156,7 @@ class QueryExecutor:
 
     def _execute_fusion(self, plan: QueryPlan) -> Relation:
         query = plan.query
-        pipeline = FusionPipeline(
-            self.catalog,
-            matcher=self.matcher,
-            detector=self.detector,
-            registry=self.registry,
-            prepare=self.preparer_factory() if self.preparer_factory is not None else None,
-        )
+        pipeline = self.pipeline_factory()
 
         # The WHERE clause is pushed into the session as a transform filter.
         # A filter that changes the combined rows makes the prepared view

@@ -84,11 +84,7 @@ class HumMer:
         self.matcher = matcher or config.matching.build_matcher()
         self.detector = detector or config.dedup.build_detector()
         self._executor = QueryExecutor(
-            self.catalog,
-            registry=self.registry,
-            matcher=self.matcher,
-            detector=self.detector,
-            preparer_factory=self._preparer,
+            self.catalog, registry=self.registry, pipeline_factory=self.pipeline
         )
 
     # -- configuration -------------------------------------------------------------

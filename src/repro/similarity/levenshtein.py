@@ -7,7 +7,7 @@ using edit distance and numerical distance functions").
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.tokenize import normalize_text
@@ -18,7 +18,13 @@ __all__ = ["levenshtein_distance", "levenshtein_similarity", "LevenshteinSimilar
 def levenshtein_distance(left: str, right: str) -> int:
     """Minimum number of single-character edits turning *left* into *right*.
 
-    Classic two-row dynamic program, O(len(left) * len(right)).
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 form for edit distance): one
+    column of the dynamic-programming matrix is held as vertical +1/-1 delta
+    bit vectors over the shorter string, and each character of the longer
+    string advances the whole column with a handful of integer operations —
+    O(len(longer)) big-int steps instead of O(len(left) * len(right)) cell
+    updates.  Python ints have no word size, so the distance is exact at any
+    length.
     """
     left = "" if left is None else str(left)
     right = "" if right is None else str(right)
@@ -30,16 +36,32 @@ def levenshtein_distance(left: str, right: str) -> int:
         return len(left)
     if len(left) < len(right):
         left, right = right, left
-    previous = list(range(len(right) + 1))
-    for i, left_char in enumerate(left, start=1):
-        current = [i]
-        for j, right_char in enumerate(right, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (left_char != right_char)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
+    # Bit i of match[c] is set where right[i] == c.
+    match: Dict[str, int] = {}
+    bit = 1
+    for char in right:
+        match[char] = match.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    positive = mask  # vertical deltas +1 (column 0 is 0, 1, ..., m)
+    negative = 0  # vertical deltas -1
+    distance = len(right)
+    for char in left:
+        equal = match.get(char, 0)
+        diagonal = (((equal & positive) + positive) ^ positive) | equal | negative
+        horizontal_positive = negative | ~(diagonal | positive)
+        horizontal_negative = diagonal & positive
+        if horizontal_positive & last:
+            distance += 1
+        elif horizontal_negative & last:
+            distance -= 1
+        # Row 0 of the matrix grows by one per column: shift in a +1.
+        horizontal_positive = (horizontal_positive << 1) | 1
+        horizontal_negative <<= 1
+        positive = (horizontal_negative | ~(diagonal | horizontal_positive)) & mask
+        negative = horizontal_positive & diagonal & mask
+    return distance
 
 
 def levenshtein_similarity(left: str, right: str, normalize: bool = True) -> float:
@@ -73,6 +95,6 @@ class LevenshteinSimilarity(SimilarityMeasure):
     def compare_batch(
         self, left_values: Sequence[str], right_values: Sequence[str]
     ) -> List[float]:
-        # The O(|l|·|r|) dynamic program dominates; candidate batches repeat
-        # cell pairs heavily, so score each distinct pair once.
+        # Candidate batches repeat cell pairs heavily, so score each distinct
+        # pair once.
         return self._compare_batch_deduped(left_values, right_values)

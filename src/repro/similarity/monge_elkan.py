@@ -7,20 +7,28 @@ Useful for multi-word fields (addresses, titles) where word order varies.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.jaro import jaro_winkler_similarity
 from repro.similarity.tokenize import tokenize
 
-__all__ = ["monge_elkan_similarity", "MongeElkanSimilarity"]
+__all__ = ["monge_elkan_similarity", "monge_elkan_tokens", "MongeElkanSimilarity"]
 
 
 def monge_elkan_similarity(left: str, right: str, secondary=None, symmetric: bool = True) -> float:
     """Monge-Elkan similarity with Jaro-Winkler as the default secondary measure."""
+    return monge_elkan_tokens(tokenize(left), tokenize(right), secondary, symmetric)
+
+
+def monge_elkan_tokens(
+    left_tokens: Sequence[str],
+    right_tokens: Sequence[str],
+    secondary=None,
+    symmetric: bool = True,
+) -> float:
+    """:func:`monge_elkan_similarity` over already tokenised strings."""
     secondary = secondary or jaro_winkler_similarity
-    left_tokens = tokenize(left)
-    right_tokens = tokenize(right)
     if not left_tokens and not right_tokens:
         return 1.0
     if not left_tokens or not right_tokens:

@@ -4,20 +4,33 @@ The duplicate-detection measure compares matched attribute values with "edit
 distance and numerical distance functions" (paper §2.3).  This module
 provides the numeric and date distances, and :func:`value_similarity`, the
 type-dispatching entry point the detector uses per cell pair.
+
+The dispatch runs over :class:`PreparedValue` cells: everything that depends
+on one value only (type inference, text normalisation, tokens, the parsed
+date) is derived once when the cell is prepared, and
+:func:`prepared_similarity` scores two prepared cells.  A batch scorer that
+meets the same value in many pairs prepares it once;
+:func:`value_similarity` prepares both cells afresh on every call.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import math
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.engine.types import DataType, infer_type, is_null
 from repro.similarity.levenshtein import levenshtein_similarity
-from repro.similarity.monge_elkan import monge_elkan_similarity
-from repro.similarity.tokenize import normalize_text
+from repro.similarity.monge_elkan import monge_elkan_tokens
+from repro.similarity.tokenize import normalize_text, tokenize
 
-__all__ = ["numeric_similarity", "date_similarity", "value_similarity"]
+__all__ = [
+    "numeric_similarity",
+    "date_similarity",
+    "value_similarity",
+    "PreparedValue",
+    "prepared_similarity",
+]
 
 
 def numeric_similarity(left: float, right: float, scale: Optional[float] = None) -> float:
@@ -43,8 +56,12 @@ def numeric_similarity(left: float, right: float, scale: Optional[float] = None)
 
 def date_similarity(left: Any, right: Any, horizon_days: float = 365.0) -> float:
     """Similarity of two dates: linear decay over *horizon_days*."""
-    left_date = _as_date(left)
-    right_date = _as_date(right)
+    return _date_decay(_as_date(left), _as_date(right), horizon_days)
+
+
+def _date_decay(
+    left_date: Optional[_dt.date], right_date: Optional[_dt.date], horizon_days: float = 365.0
+) -> float:
     if left_date is None or right_date is None:
         return 0.0
     delta_days = abs((left_date - right_date).days)
@@ -67,39 +84,82 @@ def _as_date(value: Any) -> Optional[_dt.date]:
     return None
 
 
+class PreparedValue:
+    """One non-null cell with its value-only work done, for :func:`prepared_similarity`.
+
+    Attributes:
+        value: the raw cell.
+        type: :func:`~repro.engine.types.infer_type` of the cell.
+        text: the cell's :func:`normalize_text` form (the string comparison
+            input whatever the type, since mixed-type pairs compare as text).
+        date: the parsed date of a ``DATE`` cell, else ``None``.
+        tokens: the word tokens of :attr:`text`, derived on first use (only
+            multi-word comparisons need them).
+    """
+
+    __slots__ = ("value", "type", "text", "date", "_tokens")
+
+    def __init__(self, value: Any):
+        self.value = value
+        self.type = infer_type(value)
+        self.text = normalize_text(value)
+        self.date = _as_date(value) if self.type is DataType.DATE else None
+        self._tokens: Optional[List[str]] = None
+
+    @property
+    def tokens(self) -> List[str]:
+        if self._tokens is None:
+            self._tokens = tokenize(self.text)
+        return self._tokens
+
+
+def prepared_similarity(
+    left: PreparedValue,
+    right: PreparedValue,
+    token_similarity: Optional[Callable[[str, str], float]] = None,
+) -> float:
+    """Type-dispatching similarity of two prepared, non-null cells in ``[0, 1]``.
+
+    * Numbers → :func:`numeric_similarity`.
+    * Dates → :func:`date_similarity`.
+    * Booleans → exact match.
+    * Everything else → hybrid string similarity: max of normalised edit
+      distance and Monge-Elkan (token-order tolerant) when either text has
+      several words.
+
+    *token_similarity* is Monge-Elkan's secondary token measure (Jaro-Winkler
+    when ``None``); a batch scorer passes a memoised Jaro-Winkler.
+    """
+    left_type = left.type
+    right_type = right.type
+    if left_type.is_numeric and right_type.is_numeric:
+        return numeric_similarity(float(left.value), float(right.value))
+    if left_type is DataType.DATE and right_type is DataType.DATE:
+        return _date_decay(left.date, right.date)
+    if left_type is DataType.BOOLEAN and right_type is DataType.BOOLEAN:
+        return 1.0 if str(left.value).lower() == str(right.value).lower() else 0.0
+
+    left_text = left.text
+    right_text = right.text
+    if left_text == right_text:
+        return 1.0
+    edit = levenshtein_similarity(left_text, right_text, normalize=False)
+    if " " in left_text or " " in right_text:
+        hybrid = monge_elkan_tokens(left.tokens, right.tokens, token_similarity)
+        return max(edit, hybrid)
+    return edit
+
+
 def value_similarity(left: Any, right: Any) -> float:
     """Type-dispatching similarity of two cell values in ``[0, 1]``.
 
     * Two nulls → 1.0 (no evidence against), one null → 0.0 (callers that
       need "missing has no influence" semantics check for nulls first).
-    * Numbers → :func:`numeric_similarity`.
-    * Dates → :func:`date_similarity`.
-    * Booleans → exact match.
-    * Everything else → hybrid string similarity: max of normalised edit
-      distance and Monge-Elkan (token-order tolerant).
+    * Otherwise → :func:`prepared_similarity` of the freshly prepared cells.
     """
     left_null, right_null = is_null(left), is_null(right)
     if left_null and right_null:
         return 1.0
     if left_null or right_null:
         return 0.0
-
-    left_type = infer_type(left)
-    right_type = infer_type(right)
-
-    if left_type.is_numeric and right_type.is_numeric:
-        return numeric_similarity(float(left), float(right))
-    if left_type is DataType.DATE and right_type is DataType.DATE:
-        return date_similarity(left, right)
-    if left_type is DataType.BOOLEAN and right_type is DataType.BOOLEAN:
-        return 1.0 if str(left).lower() == str(right).lower() else 0.0
-
-    left_text = normalize_text(left)
-    right_text = normalize_text(right)
-    if left_text == right_text:
-        return 1.0
-    edit = levenshtein_similarity(left_text, right_text, normalize=False)
-    if " " in left_text or " " in right_text:
-        hybrid = monge_elkan_similarity(left_text, right_text)
-        return max(edit, hybrid)
-    return edit
+    return prepared_similarity(PreparedValue(left), PreparedValue(right))

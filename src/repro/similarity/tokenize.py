@@ -15,9 +15,12 @@ def normalize_text(text: str) -> str:
     """Lower-case, strip accents and collapse whitespace."""
     if text is None:
         return ""
-    decomposed = unicodedata.normalize("NFKD", str(text))
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return re.sub(r"\s+", " ", stripped.lower()).strip()
+    text = str(text)
+    # ASCII text is its own NFKD form and holds no combining marks.
+    if not text.isascii():
+        decomposed = unicodedata.normalize("NFKD", text)
+        text = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return re.sub(r"\s+", " ", text.lower()).strip()
 
 
 def tokenize(text: str) -> List[str]:

@@ -3,8 +3,12 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.types import (
+    _DATE_FORMATS,
+    _parse_date,
     DataType,
     coerce,
     compare_values,
@@ -182,3 +186,76 @@ class TestCompareValues:
         assert compare_values(10, "abc") in (-1, 1)
         # deterministic: "10" < "abc"
         assert compare_values(10, "abc") == -1
+
+
+def ungated_parse_date(text):
+    """Every format tried by ``strptime``: the oracle for the first-character gate."""
+    for fmt in _DATE_FORMATS:
+        try:
+            parsed = datetime.datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+        return parsed if fmt.endswith("%H:%M:%S") else parsed.date()
+    return None
+
+
+ASCII_DIGITS = "0123456789"
+#: Arabic-Indic and fullwidth digits: ``strptime``'s ``\d`` accepts both.
+UNICODE_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                  "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+@st.composite
+def date_like_text(draw):
+    """Each format's rendering of a date, with optional leading spaces, a
+    leading non-digit, or its digits swapped for Unicode ones — all of them,
+    or only the first four (a leading ``%Y``, the one directive whose
+    pattern takes any decimal digit)."""
+    moment = draw(
+        st.datetimes(
+            min_value=datetime.datetime(1000, 1, 1), max_value=datetime.datetime(9999, 12, 31)
+        )
+    )
+    text = moment.strftime(draw(st.sampled_from(_DATE_FORMATS)))
+    digits = str.maketrans(ASCII_DIGITS, draw(st.sampled_from((ASCII_DIGITS,) + UNICODE_DIGITS)))
+    swapped = draw(st.sampled_from([0, 4, len(text)]))
+    text = text[:swapped].translate(digits) + text[swapped:]
+    prefix = draw(st.sampled_from(["", " ", "  ", "\t", "x", "-", "+", "\u00b2"]))
+    if draw(st.booleans()):
+        text = text.lstrip("0\u0660\uff10")  # single-digit day or month first
+    return prefix + text
+
+
+noise_text = st.text(
+    alphabet=ASCII_DIGITS + "".join(UNICODE_DIGITS) + " -/.:Tx\u00b2\t", max_size=22
+)
+
+
+class TestParseDateGate:
+    """Rejecting by first character accepts exactly what ``strptime`` accepts."""
+
+    @given(st.one_of(date_like_text(), noise_text))
+    @settings(max_examples=400, deadline=None)
+    def test_gated_equals_ungated(self, text):
+        gated = _parse_date(text)
+        expected = ungated_parse_date(text)
+        assert type(gated) is type(expected)
+        assert gated == expected
+
+    @pytest.mark.parametrize("fmt", _DATE_FORMATS)
+    def test_every_format_passes_the_gate(self, fmt):
+        text = datetime.datetime(2005, 1, 31, 12, 30).strftime(fmt)
+        assert _parse_date(text) is not None
+        assert _parse_date(text) == ungated_parse_date(text)
+
+    def test_space_padded_day_still_parses(self):
+        assert _parse_date(" 5/01/2005") == datetime.date(2005, 1, 5)
+        assert ungated_parse_date(" 5/01/2005") == datetime.date(2005, 1, 5)
+
+    def test_unicode_digit_year_still_parses(self):
+        text = "\u0662\u0660\u0660\u0665-01-31"
+        assert _parse_date(text) == ungated_parse_date(text) == datetime.date(2005, 1, 31)
+
+    def test_non_digit_first_character_is_rejected(self):
+        assert _parse_date("Jan 31 2005") is None
+        assert _parse_date("") is None

@@ -1,7 +1,10 @@
 """Property-based tests (hypothesis) for the similarity substrate."""
 
+import re
 import string
+import unicodedata
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +15,55 @@ from repro.similarity import (
     levenshtein_similarity,
     monge_elkan_similarity,
     ngram_similarity,
+    normalize_text,
 )
 from repro.similarity.tfidf import TfIdfVectorizer
 
 text = st.text(alphabet=string.ascii_letters + string.digits + " ", max_size=30)
+
+
+def dp_levenshtein(left, right):
+    """The two-row dynamic program: the oracle for the bit-parallel distance."""
+    if len(left) < len(right):
+        left, right = right, left
+    previous = list(range(len(right) + 1))
+    for i, left_char in enumerate(left, start=1):
+        current = [i]
+        for j, right_char in enumerate(right, start=1):
+            insert_cost = current[j - 1] + 1
+            delete_cost = previous[j] + 1
+            substitute_cost = previous[j - 1] + (left_char != right_char)
+            current.append(min(insert_cost, delete_cost, substitute_cost))
+        previous = current
+    return previous[-1]
+
+
+# A small non-ASCII alphabet keeps characters recurring, so distances are
+# neither trivially 0 nor trivially the longer length; lengths 0-150 cross
+# the 64- and 128-bit boundaries of the bit vectors.
+NON_ASCII = "aäbéß ǘ中\u0301"
+long_text = st.integers(min_value=0, max_value=150).flatmap(
+    lambda size: st.text(alphabet=NON_ASCII, min_size=size, max_size=size)
+)
+
+
+@st.composite
+def edited_pair(draw):
+    """A string and a copy with a few random insertions, deletions and substitutions."""
+    source = draw(long_text)
+    edited = list(source)
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        position = draw(st.integers(min_value=0, max_value=len(edited)))
+        operation = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        char = draw(st.sampled_from(NON_ASCII))
+        if operation == "insert":
+            edited.insert(position, char)
+        elif position < len(edited):
+            if operation == "delete":
+                del edited[position]
+            else:
+                edited[position] = char
+    return source, "".join(edited)
 
 
 class TestLevenshteinProperties:
@@ -43,6 +91,47 @@ class TestLevenshteinProperties:
     @settings(max_examples=80)
     def test_similarity_in_unit_interval(self, a, b):
         assert 0.0 <= levenshtein_similarity(a, b) <= 1.0
+
+
+class TestLevenshteinOracle:
+    """The bit-parallel distance equals the dynamic program at every length."""
+
+    @given(long_text, long_text)
+    @settings(max_examples=150, deadline=None)
+    def test_independent_strings(self, a, b):
+        assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+
+    @given(edited_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_edited_copies(self, pair):
+        a, b = pair
+        assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+        assert levenshtein_distance(b, a) == dp_levenshtein(a, b)
+
+    @pytest.mark.parametrize("size", [63, 64, 65, 127, 128, 129])
+    def test_word_boundaries(self, size):
+        a = ("abcä" * 40)[:size]
+        b = a[1:] + "ß"
+        assert levenshtein_distance(a, b) == dp_levenshtein(a, b) == 2
+        assert levenshtein_distance(a, "") == size
+
+
+def nfkd_normalize_text(text):
+    """``normalize_text`` without its ASCII fast path: the oracle."""
+    decomposed = unicodedata.normalize("NFKD", str(text))
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return re.sub(r"\s+", " ", stripped.lower()).strip()
+
+
+class TestNormalizeTextOracle:
+    @given(st.one_of(st.text(max_size=40), st.text(alphabet=string.printable, max_size=40)))
+    @settings(max_examples=300)
+    def test_matches_the_always_decomposing_form(self, value):
+        assert normalize_text(value) == nfkd_normalize_text(value)
+
+    def test_non_text_cells(self):
+        for value in (42, 3.5, True, None):
+            assert normalize_text(value) == ("" if value is None else nfkd_normalize_text(value))
 
 
 class TestBoundedSymmetricMeasures:

@@ -53,6 +53,28 @@ class TestQueries:
         plan = hummer.explain("SELECT * FUSE FROM EE_Students, CS_Students")
         assert plan.is_fusion
 
+    def test_fusion_query_honours_the_matching_config(self):
+        """``use_name_fallback=False`` reaches SQL fusion queries, not just ``fuse``:
+        two sources with no shared instances and only label-similar columns
+        stay unmatched both ways."""
+        from repro import FusionConfig, MatchingConfig
+
+        hummer = HumMer(config=FusionConfig(matching=MatchingConfig(use_name_fallback=False)))
+        hummer.register("a", [
+            {"student_name": "Anna Schmidt", "email": "anna@hu-berlin.de"},
+            {"student_name": "Ben Mueller", "email": "ben@hu-berlin.de"},
+        ])
+        hummer.register("b", [
+            {"studentname": "Carla Weber", "e_mail": "carla@tu-berlin.de"},
+            {"studentname": "David Fischer", "e_mail": "david@tu-berlin.de"},
+        ])
+        fused = hummer.fuse(["a", "b"]).relation
+        queried = hummer.query("SELECT * FUSE FROM a, b")
+        expected = {"student_name", "email", "studentname", "e_mail"}
+        assert expected <= set(fused.column_names)
+        assert expected <= set(queried.column_names)
+        assert len(queried) == len(fused) == 4
+
 
 class TestFuse:
     def test_automatic_fusion(self, hummer):
