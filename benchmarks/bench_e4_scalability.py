@@ -636,12 +636,13 @@ def test_e4_warm_vs_cold(benchmark, request):
         relation, limit
     )
     try:
-        with prepared.seeding(matcher.seeder):
-            seed_warm_s = float("inf")
-            for _ in range(3):
-                started = time.perf_counter()
-                warm_seeds = matcher.seeder.find_seeds(sources[0], sources[1])
-                seed_warm_s = min(seed_warm_s, time.perf_counter() - started)
+        seed_warm_s = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            warm_seeds = matcher.seeder.find_seeds(
+                sources[0], sources[1], prepared=prepared
+            )
+            seed_warm_s = min(seed_warm_s, time.perf_counter() - started)
     finally:
         seed_module.compute_seed_statistics = original_compute
     assert warm_seeds == cold_seeds
@@ -661,9 +662,8 @@ def test_e4_warm_vs_cold(benchmark, request):
     candidates_cold_s = time.perf_counter() - started
 
     warm_strategy = TokenBlocking()
-    warm_strategy.index_provider = view.token_index
     started = time.perf_counter()
-    warm_candidates = sum(1 for _ in warm_strategy.pairs(combined, attributes))
+    warm_candidates = sum(1 for _ in warm_strategy.pairs(combined, attributes, view))
     candidates_warm_s = time.perf_counter() - started
     assert warm_candidates == cold_candidates
 
@@ -794,10 +794,9 @@ def test_e4_matching_scale(benchmark, request):
         assert prepared.field_corpus(left, right) is not None
 
         warm_matcher = DumasMatcher()
-        with prepared.matching(warm_matcher), prepared.seeding(warm_matcher.seeder):
-            started = time.perf_counter()
-            warm = warm_matcher.match(left, right)
-            warm_s = time.perf_counter() - started
+        started = time.perf_counter()
+        warm = warm_matcher.match(left, right, prepared=prepared)
+        warm_s = time.perf_counter() - started
 
         assert match_fingerprint(warm) == match_fingerprint(cold)
         warm_scoring = warm_matcher.seeder.last_scoring.as_dict()

@@ -26,7 +26,6 @@ session to completion.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -41,6 +40,7 @@ from repro.engine.relation import Relation
 from repro.exceptions import HummerError
 from repro.matching.correspondences import CorrespondenceSet
 from repro.matching.dumas import DumasMatcher
+from repro.matching.duplicate_seed import SeedScoringStatistics
 from repro.matching.multi import MultiMatcher, MultiMatchingResult
 from repro.matching.transform import transform_sources
 from repro.prepare import FIELD_KIND, SourcePreparer
@@ -83,7 +83,7 @@ class PipelineTimings:
 
     def add(self, phase: str, seconds: float) -> None:
         """Count *seconds* toward *phase*."""
-        setattr(self, phase, getattr(self, phase) + seconds)
+        vars(self)[phase] += seconds
 
     def as_dict(self) -> Dict[str, float]:
         """Phase → seconds mapping (plus the total)."""
@@ -200,10 +200,8 @@ def _schema_matching(session: "FusionSession"):
     from the per-source artifacts instead of being recomputed.
     """
     pipeline = session.pipeline
-    matcher = pipeline.matcher
-    seeder = getattr(matcher, "seeder", None)
     counters: Dict[str, int] = {"seeds_scored": 0, "field_matrices": 0}
-    scoring: Dict[str, int] = {"seed_candidates": 0, "seed_cosines": 0}
+    scoring = SeedScoringStatistics()
 
     # Counters accumulate across source pairs (MultiMatcher matches every
     # non-preferred source against the preferred one), so `done` is
@@ -212,40 +210,19 @@ def _schema_matching(session: "FusionSession"):
         counters[phase] = counters.get(phase, 0) + 1
         session._emit_progress(phase, counters[phase], total)
 
-    def record_scoring(statistics) -> None:
-        scoring["seed_candidates"] += statistics.candidate_count
-        scoring["seed_cosines"] += statistics.scored_count
-
-    hooks = [
-        (matcher, "progress_callback", forward),
-        (seeder, "progress_callback", forward),
-        (seeder, "scoring_listener", record_scoring),
-    ]
-    restore = []
-    for target, attribute, hook in hooks:
-        if target is not None and hasattr(target, attribute):
-            restore.append((target, attribute, getattr(target, attribute)))
-            setattr(target, attribute, hook)
-    try:
-        session.matching = None
-        if len(session.sources) >= 2:
-            fallback = NameBasedMatcher() if pipeline.use_name_fallback else None
-            multi = MultiMatcher(matcher, fallback=fallback)
-            prepared = session.prepared
-            if prepared is not None:
-                with prepared.seeding(seeder), prepared.matching(matcher):
-                    session.matching = multi.match(session.sources)
-            else:
-                session.matching = multi.match(session.sources)
-    finally:
-        for target, attribute, previous in reversed(restore):
-            setattr(target, attribute, previous)
+    session.matching = None
+    if len(session.sources) >= 2:
+        fallback = NameBasedMatcher() if pipeline.use_name_fallback else None
+        session.matching = MultiMatcher(pipeline.matcher, fallback=fallback).match(
+            session.sources, prepared=session.prepared, progress_callback=forward, scoring=scoring
+        )
     matching = session.matching
     return matching, {
         "correspondences": len(matching.correspondences) if matching is not None else 0,
         "seeds_scored": counters["seeds_scored"],
         "field_matrices": counters["field_matrices"],
-        **scoring,
+        "seed_candidates": scoring.candidate_count,
+        "seed_cosines": scoring.scored_count,
     }
 
 
@@ -274,8 +251,7 @@ def _duplicate_detection(session: "FusionSession"):
     """Steps 3 + 4: detect duplicates; the caller may then confirm unsure pairs.
 
     With a prepared view, token indexes and planner profiles are merged from
-    the per-source artifacts (installed on the blocking strategy for this
-    step only) instead of being rebuilt from cell values.
+    the per-source artifacts instead of being rebuilt from cell values.
     """
     if session.skip_detection:
         return None, {"skipped": True}
@@ -288,12 +264,12 @@ def _duplicate_detection(session: "FusionSession"):
         counters["pairs_scored"] = done
         session._emit_progress(phase, done, total)
 
-    detector = session.pipeline.detector
-    view = session.prepared_view
-    with view.blocking(detector.blocking) if view is not None else nullcontext():
-        session.detection = detector.detect(
-            session.transformed, selection=session.selection, progress_callback=forward
-        )
+    session.detection = session.pipeline.detector.detect(
+        session.transformed,
+        selection=session.selection,
+        progress_callback=forward,
+        prepared=session.prepared_view,
+    )
     detection = session.detection
     statistics = detection.filter_statistics
     payload = {

@@ -237,6 +237,8 @@ class FusionSession:
         skip_conflicts: bool = False,
         transform_filter: Optional[Callable[[Relation], Relation]] = None,
     ):
+        if isinstance(aliases, str):
+            raise TypeError(f"aliases must be a list, not the string {aliases!r}")
         self.pipeline = pipeline
         self.aliases = list(aliases)
         self.spec = spec

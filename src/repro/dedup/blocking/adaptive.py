@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dedup.blocking.allpairs import AllPairsBlocking
 from repro.dedup.blocking.base import BlockingStrategy, attribute_positions
@@ -349,20 +349,8 @@ class AdaptiveBlocking(BlockingStrategy):
         self.snm_options = dict(snm_options or {})
         self.token_options = dict(token_options or {})
         # shared token strategy, used for profiling and (under the union
-        # escalation) candidate proposal; the prepared-source layer installs
-        # its merged-index provider on it alongside the profile provider
+        # escalation) candidate proposal
         self._token = TokenBlocking(**self.token_options)
-        #: Optional hook consulted before profiling: given the relation, the
-        #: blocking attributes, the token strategy and the attribute cap,
-        #: return a ready :class:`RelationProfile` or ``None`` (→ profile
-        #: cold).  The prepared-source layer installs one that merges
-        #: per-source profile artifacts at query time.
-        self.profile_provider: Optional[
-            Callable[
-                [Relation, Sequence[str], TokenBlocking, int],
-                Optional[RelationProfile],
-            ]
-        ] = None
         #: the most recently computed plan, for tests and interactive callers
         self.last_plan: Optional[BlockingPlan] = None
         # (relation content key, attribute tuple) → plan; bounded LRU, same
@@ -373,15 +361,19 @@ class AdaptiveBlocking(BlockingStrategy):
 
     # -- planning -----------------------------------------------------------------
 
-    def plan(self, relation: Relation, attributes: Sequence[str]) -> BlockingPlan:
-        """The plan for *relation*, memoised per (content key, attributes)."""
+    def plan(self, relation: Relation, attributes: Sequence[str], prepared=None) -> BlockingPlan:
+        """The plan for *relation*, memoised per (content key, attributes).
+
+        A *prepared* view serves the profile (and the union escalation's
+        token index); the plan equals the cold one.
+        """
         key = (relation.content_key(), tuple(attributes))
         cached = self._plan_cache.get(key)
         if cached is not None:
             self._plan_cache.move_to_end(key)
             self.last_plan = cached
             return cached
-        plan = self._build_plan(relation, attributes)
+        plan = self._build_plan(relation, attributes, prepared)
         self._plan_cache[key] = plan
         self._plan_cache.move_to_end(key)
         while len(self._plan_cache) > self._plan_cache_size:
@@ -395,10 +387,10 @@ class AdaptiveBlocking(BlockingStrategy):
         self.last_plan = plan
         return plan
 
-    def _build_plan(self, relation: Relation, attributes: Sequence[str]) -> BlockingPlan:
+    def _build_plan(self, relation: Relation, attributes: Sequence[str], prepared) -> BlockingPlan:
         profile: Optional[RelationProfile] = None
-        if self.profile_provider is not None:
-            profile = self.profile_provider(
+        if prepared is not None:
+            profile = prepared.merged_profile(
                 relation, attributes, self._token, self.max_profile_attributes
             )
         if profile is None:
@@ -436,7 +428,7 @@ class AdaptiveBlocking(BlockingStrategy):
                 f"both indexes so pairs whose token evidence broke are recovered"
             )
             strategy: BlockingStrategy = UnionBlocking([snm, self._token])
-            proposals = list(strategy.pairs(relation, attributes))
+            proposals = list(strategy.pairs(relation, attributes, prepared))
             budget = int(self.max_pair_fraction * profile.total_pairs)
             if len(proposals) > budget:
                 reasons.append(
@@ -527,18 +519,18 @@ class AdaptiveBlocking(BlockingStrategy):
 
     # -- the BlockingStrategy contract ----------------------------------------------
 
-    def pairs(self, relation: Relation, attributes: Sequence[str]):
-        plan = self.plan(relation, attributes)
+    def pairs(self, relation: Relation, attributes: Sequence[str], prepared=None):
+        plan = self.plan(relation, attributes, prepared)
         if plan.proposals is not None:
             # replay the pairs already enumerated during planning — same
             # pairs in the same order, without running the strategy twice
             return iter(plan.proposals)
-        return plan.strategy.pairs(relation, attributes)
+        return plan.strategy.pairs(relation, attributes, prepared)
 
     def plan_report(
-        self, relation: Relation, attributes: Sequence[str]
+        self, relation: Relation, attributes: Sequence[str], prepared=None
     ) -> Dict[str, Any]:
-        return self.plan(relation, attributes).as_dict()
+        return self.plan(relation, attributes, prepared).as_dict()
 
     def __repr__(self) -> str:
         return (

@@ -23,7 +23,9 @@ class AllPairsBlocking(BlockingStrategy):
 
     name = "allpairs"
 
-    def pairs(self, relation: Relation, attributes: Sequence[str]) -> Iterator[Tuple[int, int]]:
+    def pairs(
+        self, relation: Relation, attributes: Sequence[str], prepared=None
+    ) -> Iterator[Tuple[int, int]]:
         size = len(relation)
         for i in range(size):
             for j in range(i + 1, size):

@@ -19,10 +19,13 @@ proposed.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.relation import Relation
 from repro.similarity.tokenize import normalize_text
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.prepare.preparer import PreparedQueryView
 
 __all__ = ["BlockingStrategy", "normalise_value", "attribute_positions"]
 
@@ -63,13 +66,20 @@ class BlockingStrategy(ABC):
     name: str = "base"
 
     @abstractmethod
-    def pairs(self, relation: Relation, attributes: Sequence[str]) -> Iterator[Tuple[int, int]]:
+    def pairs(
+        self,
+        relation: Relation,
+        attributes: Sequence[str],
+        prepared: Optional["PreparedQueryView"] = None,
+    ) -> Iterator[Tuple[int, int]]:
         """Yield candidate index pairs for *relation*.
 
         Args:
             relation: the combined (outer-unioned) relation to deduplicate.
             attributes: the "interesting" attributes selected for comparison;
                 strategies derive their blocking keys from these.
+            prepared: a prepared run's view; index-based strategies ask it
+                for merged structures before building them cold.
         """
 
     def key_values(
@@ -79,7 +89,10 @@ class BlockingStrategy(ABC):
         return attribute_positions(relation, attributes)
 
     def plan_report(
-        self, relation: Relation, attributes: Sequence[str]
+        self,
+        relation: Relation,
+        attributes: Sequence[str],
+        prepared: Optional["PreparedQueryView"] = None,
     ) -> Optional[Dict[str, Any]]:
         """A JSON-serialisable report of how this strategy will block *relation*.
 

@@ -119,7 +119,9 @@ class SortedNeighborhoodBlocking(BlockingStrategy):
         keyed.sort()
         return [index for _, index in keyed]
 
-    def pairs(self, relation: Relation, attributes: Sequence[str]) -> Iterator[Tuple[int, int]]:
+    def pairs(
+        self, relation: Relation, attributes: Sequence[str], prepared=None
+    ) -> Iterator[Tuple[int, int]]:
         seen: Set[Tuple[int, int]] = set()
         for attribute, position in self.key_values(relation, self.pass_keys(attributes)):
             order = self.pass_order(relation, position)

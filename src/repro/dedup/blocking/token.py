@@ -14,7 +14,7 @@ measure itself uses.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.dedup.blocking.base import BlockingStrategy
 from repro.engine.relation import Relation
@@ -62,16 +62,6 @@ class TokenBlocking(BlockingStrategy):
         self.max_block_size = max_block_size
         self.max_block_fraction = max_block_fraction
         self.min_token_length = min_token_length
-        #: Optional hook consulted before tokenising: given the relation and
-        #: the attributes, return a ready inverted index or ``None`` (→ build
-        #: cold).  The prepared-source layer (:mod:`repro.prepare`) installs
-        #: one that unions per-source postings at query time — this replaces
-        #: the private per-strategy LRU earlier revisions kept, moving index
-        #: reuse to where invalidation is actually known: the catalog's
-        #: artifact store.
-        self.index_provider: Optional[
-            Callable[[Relation, Sequence[str]], Optional[Dict[str, List[int]]]]
-        ] = None
 
     def effective_cap(self, row_count: int) -> int:
         """The block-size cap for a relation of *row_count* tuples."""
@@ -137,28 +127,29 @@ class TokenBlocking(BlockingStrategy):
         return index
 
     def indexed_blocks(
-        self, relation: Relation, attributes: Sequence[str]
+        self, relation: Relation, attributes: Sequence[str], prepared=None
     ) -> Dict[str, List[int]]:
         """The inverted index for *relation* — prepared when available.
 
-        When an :attr:`index_provider` is installed (the prepared-source
-        layer does this for the duration of a pipeline's detection step), it
-        is consulted first; a served index is the union of per-source
-        postings built once per registered source, shifted to the combined
-        relation's row offsets — member-identical to what :meth:`build_index`
-        would tokenise from scratch.  Without a provider (standalone use)
-        the index is always built cold: reuse lives in the catalog's
-        artifact store, which knows when a source's data changed, not in a
-        per-strategy cache that has to guess.
+        A prepared run's *prepared* view is asked first; a served index is
+        the union of per-source postings built once per registered source,
+        shifted to the combined relation's row offsets — member-identical to
+        what :meth:`build_index` would tokenise from scratch.  Without a
+        view (standalone use) the index is always built
+        cold: reuse lives in the catalog's artifact store, which knows when
+        a source's data changed, not in a per-strategy cache that has to
+        guess.
         """
-        if self.index_provider is not None:
-            prepared = self.index_provider(relation, attributes)
-            if prepared is not None:
-                return prepared
+        if prepared is not None:
+            index = prepared.token_index(relation, attributes)
+            if index is not None:
+                return index
         return self.build_index(relation, attributes)
 
-    def pairs(self, relation: Relation, attributes: Sequence[str]) -> Iterator[Tuple[int, int]]:
-        index = self.indexed_blocks(relation, attributes)
+    def pairs(
+        self, relation: Relation, attributes: Sequence[str], prepared=None
+    ) -> Iterator[Tuple[int, int]]:
+        index = self.indexed_blocks(relation, attributes, prepared)
         cap = self.effective_cap(len(relation))
         seen: Set[Tuple[int, int]] = set()
         for members in index.values():

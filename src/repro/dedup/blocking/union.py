@@ -49,17 +49,19 @@ class UnionBlocking(BlockingStrategy):
             )
         self.children = resolved
 
-    def pairs(self, relation: Relation, attributes: Sequence[str]) -> Iterator[Tuple[int, int]]:
+    def pairs(
+        self, relation: Relation, attributes: Sequence[str], prepared=None
+    ) -> Iterator[Tuple[int, int]]:
         seen: Set[Tuple[int, int]] = set()
         for child in self.children:
-            for pair in child.pairs(relation, attributes):
+            for pair in child.pairs(relation, attributes, prepared):
                 if pair in seen:
                     continue
                 seen.add(pair)
                 yield pair
 
     def plan_report(
-        self, relation: Relation, attributes: Sequence[str]
+        self, relation: Relation, attributes: Sequence[str], prepared=None
     ) -> Dict[str, Any]:
         return {
             "strategy": self.name,

@@ -7,7 +7,7 @@ the input relation, but enriched by an objectID column for identification."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.dedup.blocking import BlockingSpec, resolve_blocking
 from repro.dedup.classification import ClassifiedPairs, classify_pairs
@@ -24,6 +24,9 @@ from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
 from repro.engine.relation import Relation
 from repro.engine.schema import Column
 from repro.engine.types import DataType
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.prepare.preparer import PreparedQueryView
 
 __all__ = ["OBJECT_ID_COLUMN", "DuplicateDetectionResult", "DuplicateDetector"]
 
@@ -140,6 +143,7 @@ class DuplicateDetector:
         relation: Relation,
         selection: Optional[AttributeSelection] = None,
         progress_callback: Optional[Callable[[str, int, int], None]] = None,
+        prepared: Optional["PreparedQueryView"] = None,
     ) -> DuplicateDetectionResult:
         """Run duplicate detection on *relation* and append the objectID column.
 
@@ -148,7 +152,8 @@ class DuplicateDetector:
         :func:`select_interesting_attributes` run on *relation*.
         *progress_callback* is handed to the scoring executor, which invokes
         it as batches complete — ``("pairs_scored", cumulative_pairs,
-        total_candidates)``.
+        total_candidates)``.  *prepared* (a prepared run's view) is handed
+        to the blocking strategy.
         """
         selection = selection or self.selection or select_interesting_attributes(relation)
         measure = DuplicateSimilarityMeasure(selection).fit(relation)
@@ -161,6 +166,7 @@ class DuplicateDetector:
             blocking=self.blocking,
             executor=self.executor,
             progress_callback=progress_callback,
+            prepared=prepared,
         )
         scores = generator.score_pairs(relation)
         classified = classify_pairs(scores, self.threshold, self.uncertainty_band)

@@ -20,6 +20,7 @@ from repro.dedup.blocking import BlockingSpec, BlockingStrategy, resolve_blockin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.dedup.executor import ExecutorSpec
+    from repro.prepare.preparer import PreparedQueryView
 from repro.dedup.filters import UpperBoundFilter
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure, PairEvidence
 from repro.engine.relation import Relation
@@ -65,6 +66,7 @@ class CandidatePairGenerator:
             (``("pairs_scored", cumulative_pairs, total_candidates)``) — the
             dedup counterpart of the matcher's and fusion operator's
             intra-step progress streams.
+        prepared: a prepared run's view, handed to the blocking strategy.
     """
 
     def __init__(
@@ -78,6 +80,7 @@ class CandidatePairGenerator:
         blocking: BlockingSpec = None,
         executor: "ExecutorSpec" = None,
         progress_callback: Optional[Callable[[str, int, int], None]] = None,
+        prepared: Optional["PreparedQueryView"] = None,
     ):
         # imported here because the executor package imports PairScore
         from repro.dedup.executor import resolve_executor
@@ -90,6 +93,7 @@ class CandidatePairGenerator:
         self.blocking: BlockingStrategy = resolve_blocking(blocking)
         self.executor = resolve_executor(executor)
         self.progress_callback = progress_callback
+        self.prepared = prepared
 
     @property
     def statistics(self):
@@ -117,7 +121,7 @@ class CandidatePairGenerator:
         statistics = self.statistics
         statistics.total_pairs += size * (size - 1) // 2
         attributes = self.blocking_attributes(relation)
-        plan = self.blocking.plan_report(relation, attributes)
+        plan = self.blocking.plan_report(relation, attributes, self.prepared)
         if plan is not None:
             statistics.blocking_plan = plan
         source_values: Optional[List] = None
@@ -125,7 +129,7 @@ class CandidatePairGenerator:
             # Zero-copy column fetch — the cross-source rule reads one
             # attribute, not whole row tuples.
             source_values = relation.column(self.source_column)
-        for i, j in self.blocking.pairs(relation, attributes):
+        for i, j in self.blocking.pairs(relation, attributes, self.prepared):
             statistics.blocking_candidates += 1
             if source_values is not None:
                 left_source = source_values[i]

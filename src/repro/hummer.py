@@ -163,6 +163,8 @@ class HumMer:
         or call :meth:`enable_prepare` first — the historical implicit
         switch to ``"lazy"`` is gone.
         """
+        if isinstance(aliases, str):
+            raise TypeError(f"aliases must be a list, not the string {aliases!r}")
         if self.prepare_mode is None:
             raise ConfigError(
                 "prepare() needs an instance-wide preparation mode so the "

@@ -7,14 +7,14 @@ in the HumMer paper §2.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
 from repro.exceptions import InsufficientDuplicatesError
 from repro.matching.assignment import maximum_weight_matching
 from repro.matching.correspondences import Correspondence, CorrespondenceSet
-from repro.matching.duplicate_seed import DuplicateSeeder, SeedPair
+from repro.matching.duplicate_seed import DuplicateSeeder, SeedPair, SeedScoringStatistics
 from repro.matching.field_matrix import (
     FieldSimilarityMatrix,
     average_matrices,
@@ -22,15 +22,10 @@ from repro.matching.field_matrix import (
 )
 from repro.similarity.soft_tfidf import SoftTfIdfSimilarity
 
-__all__ = ["MatchingResult", "DumasMatcher", "FieldCorpusProvider"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.prepare.preparer import PreparedSources
 
-#: Resolver the prepared-source layer installs: given the two relations being
-#: matched, return the merged field-corpus statistics — ``(document_frequency,
-#: document_count)`` over every non-null cell string of both relations — or
-#: ``None`` (→ the matcher builds the corpus cold from cell values).
-FieldCorpusProvider = Callable[
-    ["Relation", "Relation"], Optional[Tuple[Dict[str, int], int]]
-]
+__all__ = ["MatchingResult", "DumasMatcher"]
 
 
 @dataclass
@@ -83,37 +78,41 @@ class DumasMatcher:
         self.seeder = DuplicateSeeder(
             max_seeds=max_seeds, min_similarity=min_seed_similarity
         )
-        #: Optional hook consulted before re-tokenising both relations for
-        #: the default SoftTFIDF field corpus; the prepared-source layer
-        #: installs one that merges per-source counts built at registration
-        #: time (see :class:`~repro.prepare.artifacts.FieldCorpusArtifact`).
-        self.field_corpus_provider: Optional[FieldCorpusProvider] = None
-        #: Optional intra-match progress hook ``(phase, done, total)``;
-        #: called with phase ``"field_matrices"`` after each seed's field
-        #: similarity matrix is built.  The session layer forwards these as
-        #: :class:`~repro.core.session.ProgressEvent`\\ s.
-        self.progress_callback: Optional[Callable[[str, int, int], None]] = None
 
-    def match(self, left: Relation, right: Relation) -> MatchingResult:
+    def match(
+        self,
+        left: Relation,
+        right: Relation,
+        prepared: Optional["PreparedSources"] = None,
+        progress_callback: Optional[Callable[[str, int, int], None]] = None,
+        scoring: Optional[SeedScoringStatistics] = None,
+    ) -> MatchingResult:
         """Derive attribute correspondences between *left* (preferred) and *right*.
+
+        *prepared* (the run's :class:`PreparedSources`) serves the seeding
+        statistics and the field corpus; *progress_callback* also gets one
+        ``"field_matrices"`` event per seed matrix built; the seeder adds its
+        counters to *scoring*.
 
         Raises:
             InsufficientDuplicatesError: if no seed duplicates at all could be
                 found — the caller may fall back to a name-based matcher or
                 ask the user.
         """
-        seeds = self.seeder.find_seeds(left, right)
+        seeds = self.seeder.find_seeds(
+            left, right, prepared=prepared, progress_callback=progress_callback, scoring=scoring
+        )
         if not seeds:
             raise InsufficientDuplicatesError(
                 f"no overlapping tuples found between {left.name or 'left'!r} and "
                 f"{right.name or 'right'!r}; instance-based matching needs shared objects"
             )
-        measure = self.field_measure or self._default_measure(left, right)
+        measure = self.field_measure or self._default_measure(left, right, prepared)
         matrices = []
         for built, seed in enumerate(seeds, start=1):
             matrices.append(build_field_matrix(left, right, seed, measure=measure))
-            if self.progress_callback is not None:
-                self.progress_callback("field_matrices", built, len(seeds))
+            if progress_callback is not None:
+                progress_callback("field_matrices", built, len(seeds))
         averaged = average_matrices(matrices)
         triples = maximum_weight_matching(
             averaged.scores, min_weight=self.correspondence_threshold
@@ -132,18 +131,17 @@ class DumasMatcher:
         return MatchingResult(correspondences=correspondences, seeds=seeds, matrix=averaged)
 
     def _default_measure(
-        self, left: Relation, right: Relation
+        self, left: Relation, right: Relation, prepared
     ) -> Callable[[str, str], float]:
         """SoftTFIDF fitted on both relations' non-null cell strings.
 
-        With a :attr:`field_corpus_provider` the IDF model is reconstructed
-        from merged per-source document frequencies (bit-identical to the
-        fresh fit — counts add and per-term IDF is a pure function of them)
-        instead of re-tokenising every cell of both relations per source
-        pair.
+        With *prepared* sources the IDF model is reconstructed from merged
+        per-source document frequencies (bit-identical to the fresh fit —
+        counts add and per-term IDF is a pure function of them) instead of
+        re-tokenising every cell of both relations per source pair.
         """
-        if self.field_corpus_provider is not None:
-            merged = self.field_corpus_provider(left, right)
+        if prepared is not None:
+            merged = prepared.field_corpus(left, right)
             if merged is not None:
                 document_frequency, document_count = merged
                 return SoftTfIdfSimilarity().fit_counts(

@@ -32,12 +32,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
 from repro.similarity.tfidf import TfIdfVectorizer, cosine_similarity
 from repro.similarity.tokenize import tokenize
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.prepare.preparer import PreparedSources
 
 __all__ = [
     "SeedPair",
@@ -143,10 +146,6 @@ def compute_seed_statistics(
     )
 
 
-#: Resolver the prepared-source layer installs: given a relation and the
-#: seeder's sample limit, return prebuilt statistics or ``None`` (→ compute).
-SeedStatisticsProvider = Callable[[Relation, Optional[int]], Optional[SeedStatistics]]
-
 #: Relative slack on the pruning upper bound.  The bound and the cosine are
 #: summed in different term orders and the cosine divides by norms that are
 #: only ≈ 1.0, so the two can disagree by a few ulps (~1e-14 relative);
@@ -224,36 +223,38 @@ class DuplicateSeeder:
         self.min_similarity = min_similarity
         self.max_tuples_per_relation = max_tuples_per_relation
         self.prune = prune
-        #: Optional hook consulted before tokenising a relation; the
-        #: prepared-source layer installs one that serves per-source
-        #: statistics built at registration time.
-        self.statistics_provider: Optional[SeedStatisticsProvider] = None
         #: Counters of the most recent :meth:`find_seeds` call.
         self.last_scoring: Optional[SeedScoringStatistics] = None
-        #: Optional listener invoked with the counters after each call
-        #: (the session layer accumulates these across source pairs).
-        self.scoring_listener: Optional[Callable[[SeedScoringStatistics], None]] = None
-        #: Optional intra-scoring progress hook ``(phase, done, total)``;
-        #: called with phase ``"seeds_scored"`` after each left tuple's
-        #: candidates are processed.
-        self.progress_callback: Optional[Callable[[str, int, int], None]] = None
 
-    def statistics_for(self, relation: Relation) -> SeedStatistics:
-        """Seeding statistics for *relation* — prebuilt when available."""
-        if self.statistics_provider is not None:
-            prepared = self.statistics_provider(relation, self.max_tuples_per_relation)
+    def statistics_for(self, relation: Relation, prepared=None) -> SeedStatistics:
+        """Seeding statistics for *relation* — from *prepared* when valid."""
+        if prepared is not None:
+            statistics = prepared.seed_statistics(relation, self.max_tuples_per_relation)
             if (
-                prepared is not None
-                and prepared.row_count == len(relation)
-                and prepared.sample_limit == self.max_tuples_per_relation
+                statistics is not None
+                and statistics.row_count == len(relation)
+                and statistics.sample_limit == self.max_tuples_per_relation
             ):
-                return prepared
+                return statistics
         return compute_seed_statistics(relation, self.max_tuples_per_relation)
 
-    def find_seeds(self, left: Relation, right: Relation) -> List[SeedPair]:
-        """Return the top seed pairs between *left* and *right*, best first."""
-        left_stats = self.statistics_for(left)
-        right_stats = self.statistics_for(right)
+    def find_seeds(
+        self,
+        left: Relation,
+        right: Relation,
+        prepared: Optional["PreparedSources"] = None,
+        progress_callback: Optional[Callable[[str, int, int], None]] = None,
+        scoring: Optional[SeedScoringStatistics] = None,
+    ) -> List[SeedPair]:
+        """Return the top seed pairs between *left* and *right*, best first.
+
+        *prepared* (the run's :class:`PreparedSources`) serves both sides'
+        statistics; *progress_callback* gets ``("seeds_scored", done, total)``
+        per left tuple; this call's counters are added to *scoring* and held
+        alone by :attr:`last_scoring`.
+        """
+        left_stats = self.statistics_for(left, prepared)
+        right_stats = self.statistics_for(right, prepared)
 
         # Cross-source IDF: fitting one vectorizer on both corpora is exactly
         # adding the two document-frequency tables over the summed corpus size.
@@ -280,8 +281,8 @@ class DuplicateSeeder:
                 if weight > max_weight.get(term, 0.0):
                     max_weight[term] = weight
 
-        scoring = SeedScoringStatistics()
-        self.last_scoring = scoring
+        counters = SeedScoringStatistics()
+        self.last_scoring = counters
 
         # Min-heap of the current top-k under the key (similarity asc,
         # left desc, right desc): the root is the *worst* entry — lowest
@@ -292,13 +293,13 @@ class DuplicateSeeder:
         for left_position, left_vector in enumerate(left_vectors):
             if self.prune:
                 self._score_pruned(left_position, left_vector, right_vectors,
-                                   postings, max_weight, heap, scoring)
+                                   postings, max_weight, heap, counters)
             else:
                 candidates = set()
                 for term in left_vector:
                     candidates.update(postings.get(term, ()))
-                scoring.candidate_count += len(candidates)
-                scoring.scored_count += len(candidates)
+                counters.candidate_count += len(candidates)
+                counters.scored_count += len(candidates)
                 for right_position in candidates:
                     similarity = cosine_similarity(
                         left_vector, right_vectors[right_position]
@@ -310,10 +311,11 @@ class DuplicateSeeder:
                         heapq.heappush(heap, entry)
                     elif entry > heap[0]:
                         heapq.heapreplace(heap, entry)
-            if self.progress_callback is not None:
-                self.progress_callback("seeds_scored", left_position + 1, total_left)
-        if self.scoring_listener is not None:
-            self.scoring_listener(scoring)
+            if progress_callback is not None:
+                progress_callback("seeds_scored", left_position + 1, total_left)
+        if scoring is not None:
+            scoring.candidate_count += counters.candidate_count
+            scoring.scored_count += counters.scored_count
 
         pairs = [
             SeedPair(

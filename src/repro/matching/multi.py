@@ -9,12 +9,16 @@ schema; every other relation is matched pairwise against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.engine.relation import Relation
 from repro.exceptions import InsufficientDuplicatesError
 from repro.matching.correspondences import CorrespondenceSet
 from repro.matching.dumas import DumasMatcher, MatchingResult
+from repro.matching.duplicate_seed import SeedScoringStatistics
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.prepare.preparer import PreparedSources
 
 __all__ = ["MultiMatchingResult", "MultiMatcher"]
 
@@ -52,8 +56,16 @@ class MultiMatcher:
         self.matcher = matcher or DumasMatcher()
         self.fallback = fallback
 
-    def match(self, relations: Sequence[Relation]) -> MultiMatchingResult:
-        """Match every relation after the first one against the first one."""
+    def match(
+        self,
+        relations: Sequence[Relation],
+        prepared: Optional["PreparedSources"] = None,
+        progress_callback: Optional[Callable[[str, int, int], None]] = None,
+        scoring: Optional[SeedScoringStatistics] = None,
+    ) -> MultiMatchingResult:
+        """Match every relation after the first one against the first one,
+        handing *prepared*, *progress_callback* and *scoring* to every
+        pairwise :meth:`DumasMatcher.match`."""
         if not relations:
             raise ValueError("need at least one relation")
         preferred = relations[0]
@@ -62,7 +74,10 @@ class MultiMatcher:
         failed: List[str] = []
         for other in relations[1:]:
             try:
-                result = self.matcher.match(preferred, other)
+                result = self.matcher.match(
+                    preferred, other, prepared=prepared,
+                    progress_callback=progress_callback, scoring=scoring,
+                )
             except InsufficientDuplicatesError:
                 result = None
             if result is None or len(result.correspondences) == 0:

@@ -19,19 +19,18 @@ would compute over the combined relation:
 Merged structures are *member-identical* to their cold counterparts (same
 sets, same ascending orders, same float operands), so preparing can change
 runtimes but never results.  Cross-source seeding statistics merge inside
-:meth:`DuplicateSeeder.find_seeds` itself; the view only resolves the
+:meth:`DuplicateSeeder.find_seeds` itself; the bundle only resolves the
 per-source halves.
 
-Providers are installed on the consumers (``TokenBlocking.index_provider``,
-``AdaptiveBlocking.profile_provider``,
-``DuplicateSeeder.statistics_provider``) for the duration of one pipeline
-step via context managers, so shared strategy instances are never left
-pointing at a finished query's view.
+Consumers receive the run's bundle or view as the call argument
+``prepared`` (``DumasMatcher.match``, ``DuplicateSeeder.find_seeds``,
+``DuplicateDetector.detect``, ``BlockingStrategy.pairs``) and build cold
+wherever it returns ``None``; nothing is installed on the components a
+:class:`~repro.hummer.HumMer` shares across its sessions.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,7 +44,7 @@ from repro.dedup.blocking.token import TokenBlocking
 from repro.dedup.blocking.union import UnionBlocking
 from repro.engine.relation import Relation
 from repro.matching.correspondences import CorrespondenceSet
-from repro.matching.duplicate_seed import DuplicateSeeder, SeedStatistics
+from repro.matching.duplicate_seed import SeedStatistics
 from repro.matching.transform import SOURCE_ID_COLUMN, apply_correspondences
 from repro.prepare.artifacts import (
     FIELD_KIND,
@@ -231,16 +230,6 @@ class PreparedSources:
             return None
         return bundle.seeds
 
-    @contextmanager
-    def seeding(self, seeder: DuplicateSeeder):
-        """Serve this bundle's statistics from *seeder* for the duration."""
-        previous = seeder.statistics_provider
-        seeder.statistics_provider = self.seed_statistics
-        try:
-            yield
-        finally:
-            seeder.statistics_provider = previous
-
     # -- field matching -----------------------------------------------------------
 
     def field_corpus(
@@ -266,23 +255,6 @@ class PreparedSources:
             + right_bundle.field_corpus.document_count
         )
         return document_frequency, document_count
-
-    @contextmanager
-    def matching(self, matcher):
-        """Serve merged field corpora from *matcher* for the duration.
-
-        Matchers without a ``field_corpus_provider`` hook (custom
-        non-DUMAS implementations) are left untouched.
-        """
-        if not hasattr(matcher, "field_corpus_provider"):
-            yield
-            return
-        previous = matcher.field_corpus_provider
-        matcher.field_corpus_provider = self.field_corpus
-        try:
-            yield
-        finally:
-            matcher.field_corpus_provider = previous
 
     # -- the per-query merge view -------------------------------------------------
 
@@ -490,34 +462,3 @@ class PreparedQueryView:
             [mapping.get(attribute) for attribute in requested]
             for mapping in self._mappings
         ]
-
-    # -- provider installation ----------------------------------------------------
-
-    @contextmanager
-    def blocking(self, strategy: BlockingStrategy):
-        """Serve merged indexes/profiles from *strategy* for the duration.
-
-        Walks the strategy graph: :class:`TokenBlocking` gets the merged
-        index provider, :class:`AdaptiveBlocking` gets the merged profile
-        provider (plus the index provider on its internal token strategy),
-        :class:`UnionBlocking` recurses into its children.
-        """
-        restore: List[Tuple[Any, str, Any]] = []
-        self._install(strategy, restore)
-        try:
-            yield
-        finally:
-            for target, attribute, previous in reversed(restore):
-                setattr(target, attribute, previous)
-
-    def _install(self, strategy: BlockingStrategy, restore: List[Tuple[Any, str, Any]]):
-        if isinstance(strategy, TokenBlocking):
-            restore.append((strategy, "index_provider", strategy.index_provider))
-            strategy.index_provider = self.token_index
-        elif isinstance(strategy, AdaptiveBlocking):
-            restore.append((strategy, "profile_provider", strategy.profile_provider))
-            strategy.profile_provider = self.merged_profile
-            self._install(strategy._token, restore)
-        elif isinstance(strategy, UnionBlocking):
-            for child in strategy.children:
-                self._install(child, restore)

@@ -51,16 +51,23 @@ class Request:
     body: bytes = b""
     _json: Any = field(default=None, repr=False)
 
-    def json(self) -> Any:
-        """The body decoded as JSON (``{}`` for an empty body)."""
+    def json(self) -> Dict[str, Any]:
+        """The body decoded as a JSON object (``{}`` for an empty body)."""
         if self._json is None:
             if not self.body:
                 self._json = {}
             else:
                 try:
-                    self._json = json.loads(self.body)
+                    body = json.loads(self.body)
                 except json.JSONDecodeError as exc:
                     raise ApiError(400, f"request body is not valid JSON: {exc}")
+                if not isinstance(body, dict):
+                    raise ApiError(
+                        400,
+                        f"request body must be a JSON object, got {type(body).__name__}",
+                        "InvalidBody",
+                    )
+                self._json = body
         return self._json
 
 

@@ -6,6 +6,7 @@ fixtures, and the adjust-then-continue flow replaces the deprecated
 ``adjust_*`` mutation callbacks.
 """
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,14 @@ from repro.core.session import DONE, SESSION_STEPS, FusionSession, StageEvent
 from repro.engine.io.csv_source import CsvSource
 from repro.exceptions import HummerError
 from repro.hummer import HumMer
+from repro.matching.dumas import DumasMatcher
+from repro.similarity.jaro import jaro_winkler_similarity
 
 GOLDEN_DIR = Path(__file__).parent.parent / "fixtures" / "golden"
 
 
-def golden_hummer() -> HumMer:
-    hummer = HumMer()
+def golden_hummer(**components) -> HumMer:
+    hummer = HumMer(**components)
     hummer.register("crm", CsvSource(GOLDEN_DIR / "crm_customers.csv", name="crm"))
     hummer.register("shop", CsvSource(GOLDEN_DIR / "shop_clients.csv", name="shop"))
     return hummer
@@ -202,14 +205,44 @@ class TestProgressEvents:
         session.run()
         assert len(events) == count_after_matching
 
-    def test_callbacks_restored_after_matching_step(self, catalog):
-        pipeline = FusionPipeline(catalog)
-        session = pipeline.session(["EE_Students", "CS_Students"])
-        session.subscribe_progress(lambda event: None)
-        session.advance_to(FusionSession.SCHEMA_MATCHING)
-        assert pipeline.matcher.progress_callback is None
-        assert pipeline.matcher.seeder.progress_callback is None
-        assert pipeline.matcher.seeder.scoring_listener is None
+    def test_concurrent_sessions_keep_their_own_progress(self):
+        """Two sessions of one HumMer matching at once each receive exactly
+        their own progress events and counters, as when run alone."""
+        gate = {"barrier": None}
+
+        def field_measure(left, right):
+            # in the concurrent run every field comparison waits for the
+            # other session's, so the two matching steps advance in lockstep
+            if gate["barrier"] is not None:
+                gate["barrier"].wait(timeout=30)
+            return jaro_winkler_similarity(left, right)
+
+        hummer = golden_hummer(matcher=DumasMatcher(field_measure=field_measure))
+
+        def match_once():
+            session = hummer.session(["crm", "shop"])
+            progress, stages = [], []
+            session.subscribe_progress(progress.append)
+            session.subscribe(stages.append)
+            session.advance_to(FusionSession.SCHEMA_MATCHING)
+            return progress, stages[-1].payload
+
+        solo = match_once()
+        assert solo[1]["field_matrices"] >= 2
+
+        gate["barrier"] = threading.Barrier(2)
+        results = [None, None]
+
+        def worker(index):
+            results[index] = match_once()
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert results == [solo, solo]
 
     def test_skip_detection_fusion_still_reports_groups(self, catalog):
         session = FusionPipeline(catalog).session(

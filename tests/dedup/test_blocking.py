@@ -1,5 +1,7 @@
 """Tests for the pluggable blocking subsystem."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.dedup.blocking import (
@@ -219,21 +221,21 @@ class TestTokenBlocking:
         assert strategy.build_index(people, ["name", "city"]) == expected
 
     def test_index_provider_serves_prepared_index(self, people, monkeypatch):
-        # The prepared-source layer installs an index_provider that merges
+        # A prepared run hands pairs() its view, whose token_index merges
         # per-source postings; when it serves, no tokenisation happens.
         strategy = TokenBlocking()
         prepared = TokenBlocking().build_index(people, ["name", "city"])
         expected = set(strategy.pairs(people, ["name", "city"]))
 
         def fail_build(self, relation, attributes):  # pragma: no cover - guard
-            raise AssertionError("cold build must not run when the provider serves")
+            raise AssertionError("cold build must not run when the view serves")
 
-        strategy.index_provider = lambda relation, attributes: prepared
+        view = SimpleNamespace(token_index=lambda relation, attributes: prepared)
         monkeypatch.setattr(TokenBlocking, "build_index", fail_build)
-        assert set(strategy.pairs(people, ["name", "city"])) == expected
+        assert set(strategy.pairs(people, ["name", "city"], view)) == expected
 
     def test_index_provider_declining_falls_back_to_cold_build(self, people):
-        # A provider returning None (foreign relation, parameter mismatch)
+        # A view returning None (foreign relation, parameter mismatch)
         # means "build it yourself" — results are unchanged either way.
         strategy = TokenBlocking()
         baseline = set(TokenBlocking().pairs(people, ["name", "city"]))
@@ -243,12 +245,12 @@ class TestTokenBlocking:
             calls.append(tuple(attributes))
             return None
 
-        strategy.index_provider = declining
-        assert set(strategy.pairs(people, ["name", "city"])) == baseline
+        view = SimpleNamespace(token_index=declining)
+        assert set(strategy.pairs(people, ["name", "city"], view)) == baseline
         assert calls == [("name", "city")]
 
     def test_mutated_relation_is_not_served_stale_candidates(self, people):
-        # Without an installed provider every pairs() call tokenises the
+        # Without a prepared view every pairs() call tokenises the
         # relation as it currently is (index reuse lives in the catalog's
         # artifact store, which validates content digests), so even a caller
         # that mutates row storage in place gets fresh candidates.

@@ -1,5 +1,7 @@
 """DuplicateSeeder: ordering guarantees, sampling, thresholds, degenerate inputs."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine.relation import Relation
@@ -130,8 +132,8 @@ class TestPreparedStatistics:
             calls.append(limit)
             return prebuilt[id(relation)]
 
-        seeder.statistics_provider = provider
-        assert seeder.find_seeds(left, right) == cold
+        prepared = SimpleNamespace(seed_statistics=provider)
+        assert seeder.find_seeds(left, right, prepared=prepared) == cold
         assert calls == [seeder.max_tuples_per_relation] * 2
 
     def test_mismatched_provider_statistics_are_ignored(self):
@@ -140,7 +142,7 @@ class TestPreparedStatistics:
         seeder = DuplicateSeeder(max_seeds=5, min_similarity=0.0)
         cold = seeder.find_seeds(left, right)
         # statistics sampled under a different limit must not be trusted
-        seeder.statistics_provider = lambda relation, limit: compute_seed_statistics(
-            relation, 1
+        prepared = SimpleNamespace(
+            seed_statistics=lambda relation, limit: compute_seed_statistics(relation, 1)
         )
-        assert seeder.find_seeds(left, right) == cold
+        assert seeder.find_seeds(left, right, prepared=prepared) == cold

@@ -8,8 +8,7 @@ path drifts by one ulp from the cold path, preparing changes results, and
 that is a bug.
 """
 
-import pytest
-
+import repro.matching.dumas as dumas_module
 from repro.engine.catalog import Catalog
 from repro.engine.relation import Relation
 from repro.matching.dumas import DumasMatcher
@@ -53,9 +52,7 @@ class TestPreparedMatchingParity:
 
         prepared = SourcePreparer(catalog).prepare(["EE_Students", "CS_Students"])
         assert prepared.field_corpus(left, right) is not None
-        matcher = DumasMatcher()
-        with prepared.matching(matcher), prepared.seeding(matcher.seeder):
-            warm = matcher.match(left, right)
+        warm = DumasMatcher().match(left, right, prepared=prepared)
 
         assert matching_fingerprint(warm) == matching_fingerprint(fresh)
 
@@ -72,9 +69,7 @@ class TestPreparedMatchingParity:
         fresh = DumasMatcher().match(left, right)
         prepared = SourcePreparer(catalog).prepare(aliases)
         assert prepared.field_corpus(left, right) is not None
-        matcher = DumasMatcher()
-        with prepared.matching(matcher), prepared.seeding(matcher.seeder):
-            warm = matcher.match(left, right)
+        warm = DumasMatcher().match(left, right, prepared=prepared)
 
         assert matching_fingerprint(warm) == matching_fingerprint(fresh)
 
@@ -96,8 +91,6 @@ class TestPreparedMatchingParity:
         prepared = SourcePreparer(catalog).prepare(["EE_Students", "CS_Students"])
         matcher = DumasMatcher()
 
-        import repro.matching.dumas as dumas_module
-
         def forbidden(*args, **kwargs):
             raise AssertionError("warm match rebuilt the field corpus cold")
 
@@ -112,47 +105,32 @@ class TestPreparedMatchingParity:
                 super().__init__(corpus=corpus, **kwargs)
 
         monkeypatch.setattr(dumas_module, "SoftTfIdfSimilarity", Guarded)
-        with prepared.matching(matcher), prepared.seeding(matcher.seeder):
-            result = matcher.match(left, right)
+        result = matcher.match(left, right, prepared=prepared)
         assert result.correspondences
 
-    def test_provider_is_restored_after_matching_context(self, catalog, ee_students):
-        prepared = SourcePreparer(catalog).prepare(["EE_Students", "CS_Students"])
-        matcher = DumasMatcher()
-        assert matcher.field_corpus_provider is None
-        with prepared.matching(matcher):
-            assert matcher.field_corpus_provider is not None
-        assert matcher.field_corpus_provider is None
-
-    def test_provider_restored_even_when_match_raises(self, catalog):
-        prepared = SourcePreparer(catalog).prepare(["EE_Students", "CS_Students"])
-        matcher = DumasMatcher()
-        with pytest.raises(RuntimeError):
-            with prepared.matching(matcher):
-                raise RuntimeError("boom")
-        assert matcher.field_corpus_provider is None
-
-    def test_non_dumas_matcher_is_left_untouched(self, catalog):
-        prepared = SourcePreparer(catalog).prepare(["EE_Students", "CS_Students"])
-
-        class CustomMatcher:
-            pass
-
-        custom = CustomMatcher()
-        with prepared.matching(custom):
-            assert not hasattr(custom, "field_corpus_provider")
-
-    def test_foreign_relation_falls_back_to_cold(self, catalog):
+    def test_foreign_relation_falls_back_to_cold(self, catalog, monkeypatch):
         left = catalog.fetch("EE_Students")
         prepared = SourcePreparer(catalog).prepare(["EE_Students", "CS_Students"])
         foreign = Relation.from_dicts([{"a": "x"}], name="foreign")
         assert prepared.field_corpus(left, foreign) is None
         assert prepared.field_corpus(foreign, left) is None
 
-        # the installed provider declines too, so the matcher builds cold
-        matcher = DumasMatcher()
-        with prepared.matching(matcher):
-            assert matcher.field_corpus_provider(left, foreign) is None
+        # the bundle declines a pair it does not hold, so the matcher
+        # handed it builds that pair's corpus cold — with the same result
+        cold_fits = []
+        original = dumas_module.SoftTfIdfSimilarity
+
+        class Recording(original):
+            def __init__(self, corpus=None, **kwargs):
+                cold_fits.append(corpus is not None)
+                super().__init__(corpus=corpus, **kwargs)
+
+        monkeypatch.setattr(dumas_module, "SoftTfIdfSimilarity", Recording)
+        clone = left.copy()
+        warm = DumasMatcher().match(left, clone, prepared=prepared)
+        cold = DumasMatcher().match(left, clone)
+        assert matching_fingerprint(warm) == matching_fingerprint(cold)
+        assert cold_fits == [True, True]
 
 
 class TestFieldCorpusMerge:

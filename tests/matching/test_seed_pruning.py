@@ -9,7 +9,6 @@ adversarial cases (ties at the boundary, similarities equal to
 ``min_similarity``, near-duplicate rows).
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -147,22 +146,26 @@ class TestScoringStatistics:
         assert SeedScoringStatistics().scored_fraction == 1.0
 
     def test_scoring_listener_receives_counters(self, ee_students, cs_students):
-        received = []
+        # the caller's counters accumulate over calls; last_scoring holds
+        # only the latest call's
+        scoring = SeedScoringStatistics()
         seeder = DuplicateSeeder()
-        seeder.scoring_listener = received.append
-        seeder.find_seeds(ee_students, cs_students)
-        assert len(received) == 1
-        assert received[0] is seeder.last_scoring
+        seeder.find_seeds(ee_students, cs_students, scoring=scoring)
+        assert scoring == seeder.last_scoring
+        seeder.find_seeds(ee_students, cs_students, scoring=scoring)
+        assert scoring.candidate_count == 2 * seeder.last_scoring.candidate_count
+        assert scoring.scored_count == 2 * seeder.last_scoring.scored_count
 
 
 class TestSeederProgress:
     def test_progress_reaches_total(self, ee_students, cs_students):
         events = []
         seeder = DuplicateSeeder()
-        seeder.progress_callback = lambda phase, done, total: events.append(
-            (phase, done, total)
+        seeder.find_seeds(
+            ee_students,
+            cs_students,
+            progress_callback=lambda phase, done, total: events.append((phase, done, total)),
         )
-        seeder.find_seeds(ee_students, cs_students)
         assert events
         assert all(phase == "seeds_scored" for phase, _, _ in events)
         dones = [done for _, done, _ in events]

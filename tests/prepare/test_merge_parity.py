@@ -55,8 +55,7 @@ class TestTokenIndexMerge:
         cold_strategy = TokenBlocking()
         cold_pairs = list(cold_strategy.pairs(combined, attributes))
         warm_strategy = TokenBlocking()
-        warm_strategy.index_provider = view.token_index
-        assert set(warm_strategy.pairs(combined, attributes)) == set(cold_pairs)
+        assert set(warm_strategy.pairs(combined, attributes, view)) == set(cold_pairs)
 
     def test_foreign_relation_is_declined(self, prepared_setup):
         _, view, combined, attributes = prepared_setup

@@ -14,9 +14,9 @@ def dataset():
     return students_scenario(entity_count=60, corruption=CorruptionConfig.low(), seed=41)
 
 
-def build_hummer(dataset, prepare=None, blocking=None, artifact_dir=None):
+def build_hummer(dataset, prepare=None, blocking=None, artifact_dir=None, blocking_options=None):
     config = FusionConfig(
-        dedup=DedupConfig(blocking=blocking),
+        dedup=DedupConfig(blocking=blocking, blocking_options=blocking_options or {}),
         prepare=PrepareConfig(mode=prepare, artifact_dir=artifact_dir),
     )
     hummer = HumMer(config=config)
@@ -218,3 +218,80 @@ class TestQueryPath:
         # WHERE changes the combined rows, so the merge view declines and
         # detection runs cold — results must be identical either way
         assert prepared_hummer.query(statement).rows == unprepared_hummer.query(statement).rows
+
+
+def count_cold_builds(monkeypatch):
+    """Call counts of the four cold builders a warm run must skip."""
+    import repro.dedup.blocking.adaptive as adaptive_module
+    import repro.matching.dumas as dumas_module
+    import repro.matching.duplicate_seed as seed_module
+    from repro.dedup.blocking.token import TokenBlocking
+
+    calls = {"seed_statistics": 0, "field_corpus": 0, "token_index": 0, "profile": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    class CountingSoftTfIdf(dumas_module.SoftTfIdfSimilarity):
+        def __init__(self, corpus=None, **kwargs):
+            if corpus is not None:
+                calls["field_corpus"] += 1
+            super().__init__(corpus=corpus, **kwargs)
+
+    monkeypatch.setattr(
+        seed_module, "compute_seed_statistics",
+        counting("seed_statistics", seed_module.compute_seed_statistics),
+    )
+    monkeypatch.setattr(dumas_module, "SoftTfIdfSimilarity", CountingSoftTfIdf)
+    monkeypatch.setattr(
+        TokenBlocking, "build_index", counting("token_index", TokenBlocking.build_index)
+    )
+    monkeypatch.setattr(
+        adaptive_module, "profile_relation",
+        counting("profile", adaptive_module.profile_relation),
+    )
+    return calls
+
+
+NO_COLD_BUILDS = {"seed_statistics": 0, "field_corpus": 0, "token_index": 0, "profile": 0}
+
+
+class TestWarmRunComputesNothingCold:
+    """A warm run merges every matching and blocking structure from artifacts.
+
+    Results are bit-identical whether or not a consumer receives the run's
+    prepared artifacts, so a dropped ``prepared`` argument would only show as
+    a slower warm run.  This guard counts the cold builders instead: after
+    eager registration (which runs them to build the artifacts) the first
+    fusion query must call none of them.
+    """
+
+    @pytest.mark.parametrize(
+        "blocking, options, plan",
+        [
+            ("token", {}, None),
+            ("adaptive", {"small_threshold": 10}, "snm"),
+            ("adaptive", {"small_threshold": 10, "corruption_threshold": 0.0}, "union"),
+        ],
+        ids=["token", "adaptive-snm", "adaptive-union"],
+    )
+    def test_first_fuse_after_eager_registration(
+        self, dataset, monkeypatch, blocking, options, plan
+    ):
+        hummer = build_hummer(
+            dataset, prepare="eager", blocking=blocking, blocking_options=options
+        )
+        cold_builds = count_cold_builds(monkeypatch)
+        result = hummer.fuse(list(dataset.sources))
+        assert result.summary().get("blocking_plan") == plan
+        assert cold_builds == NO_COLD_BUILDS
+
+    def test_first_query_after_eager_registration(self, dataset, monkeypatch):
+        hummer = build_hummer(dataset, prepare="eager", blocking="token")
+        cold_builds = count_cold_builds(monkeypatch)
+        hummer.query(f"SELECT * FUSE FROM {', '.join(dataset.sources)}")
+        assert cold_builds == NO_COLD_BUILDS

@@ -19,8 +19,18 @@ Snapshots and catalog errors:
    ``500 AttributeError`` instead of 400.
 6. Any catalog error whose message contained "registered" answered 409,
    including the unknown-alias messages, which are 404s.
+
+Request bodies:
+
+7. A JSON body that is not an object (``[]``, ``"x"``, ``1``, ``null``)
+   answered ``500 AttributeError`` on every POST route.
+8. A bare string ``aliases`` was split into characters: ``{"aliases": "ab"}``
+   created (and journaled) a session over sources ``a`` and ``b``, and
+   ``/prepare`` answered 404 for source ``'a'``.
 """
 
+import http.client
+import json
 import threading
 import time
 
@@ -217,3 +227,65 @@ class TestCatalogErrorStatus:
             client.upload_csv("crm", golden_csv["crm"])
         assert caught.value.status == 409
         assert "already registered" in caught.value.message
+
+
+def post_raw(client, path, body: bytes):
+    """POST *body* verbatim; returns the status and the decoded JSON payload."""
+    connection = http.client.HTTPConnection(client.host, client.port, timeout=client.timeout)
+    try:
+        connection.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+POST_ROUTES = [
+    "/tenants",
+    "/sources",
+    "/prepare",
+    "/query",
+    "/sessions",
+    "/sessions/{session}/advance",
+    "/sessions/{session}/decisions",
+]
+
+
+class TestNonObjectBodies:
+    @pytest.mark.parametrize("route", POST_ROUTES)
+    def test_non_object_body_is_400(self, server, client, golden_csv, route):
+        aliases = upload_golden(client, golden_csv)
+        session = client.create_session(aliases)["session"]
+        path = route.format(session=session)
+        if route != "/tenants":
+            path = client._tenant_path(path)
+        for body in (b"[]", b'"x"', b"1", b"null"):
+            status, payload = post_raw(client, path, body)
+            assert (status, payload["error"]["type"]) == (400, "InvalidBody"), body
+        # the session is untouched and still advances
+        assert client.advance(session)["completed_steps"] == ["choose_sources"]
+
+    def test_empty_body_still_reads_as_empty_object(self, server, client):
+        status, payload = post_raw(client, "/tenants", b"")
+        assert status == 201
+        client.delete_tenant(payload["tenant"])
+
+
+class TestStringAliases:
+    def test_string_aliases_create_no_session(self, server, client, golden_csv):
+        upload_golden(client, golden_csv)
+        with pytest.raises(ServiceError) as caught:
+            client._request("POST", client._tenant_path("/sessions"), {"aliases": "ab"})
+        assert caught.value.status == 400
+        assert caught.value.error_type == "TypeError"
+        assert "aliases" in caught.value.message
+        assert client.tenant_status()["sessions"] == []
+
+    def test_string_aliases_prepare_is_400(self, server, client, golden_csv):
+        upload_golden(client, golden_csv)
+        client.prepare(mode="lazy")
+        with pytest.raises(ServiceError) as caught:
+            client._request("POST", client._tenant_path("/prepare"), {"aliases": "crm"})
+        assert caught.value.status == 400
+        assert caught.value.error_type == "TypeError"
+        assert "aliases" in caught.value.message

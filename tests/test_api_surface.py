@@ -24,9 +24,14 @@ import repro.dedup.graphcluster
 from repro.config import DedupConfig, FusionConfig, PrepareConfig
 from repro.core.pipeline import FusionPipeline
 from repro.core.session import FusionSession
+from repro.dedup.blocking import AdaptiveBlocking, BlockingStrategy, TokenBlocking
 from repro.dedup.detector import DuplicateDetector
 from repro.exceptions import ConfigError
 from repro.hummer import HumMer
+from repro.matching.dumas import DumasMatcher
+from repro.matching.duplicate_seed import DuplicateSeeder
+from repro.matching.multi import MultiMatcher
+from repro.prepare.preparer import PreparedQueryView, PreparedSources
 
 # --------------------------------------------------------------------------
 # exported names
@@ -158,7 +163,18 @@ SIGNATURES = {
         "cross_source_only", "selection", "accept_unsure", "keep_evidence",
         "blocking", "clustering", "executor",
     ],
-    "DuplicateDetector.detect": ["self", "relation", "selection", "progress_callback"],
+    "DuplicateDetector.detect": [
+        "self", "relation", "selection", "progress_callback", "prepared",
+    ],
+    "MultiMatcher.match": ["self", "relations", "prepared", "progress_callback", "scoring"],
+    "DumasMatcher.match": [
+        "self", "left", "right", "prepared", "progress_callback", "scoring",
+    ],
+    "DuplicateSeeder.find_seeds": [
+        "self", "left", "right", "prepared", "progress_callback", "scoring",
+    ],
+    "BlockingStrategy.pairs": ["self", "relation", "attributes", "prepared"],
+    "BlockingStrategy.plan_report": ["self", "relation", "attributes", "prepared"],
 }
 
 OWNERS = {
@@ -167,6 +183,10 @@ OWNERS = {
     "FusionSession": FusionSession,
     "FusionConfig": FusionConfig,
     "DuplicateDetector": DuplicateDetector,
+    "MultiMatcher": MultiMatcher,
+    "DumasMatcher": DumasMatcher,
+    "DuplicateSeeder": DuplicateSeeder,
+    "BlockingStrategy": BlockingStrategy,
 }
 
 
@@ -218,9 +238,10 @@ class TestRemovedSurface:
 
     Each wizard step is defined once, in ``repro.core.pipeline``'s step
     table, so ``FusionPipeline`` keeps no ``step_*`` methods.
-    ``DuplicateDetector.detect`` takes the selection and progress callback
-    as arguments, so the detector keeps no clone helper and no class-level
-    callback.  The session's ``advance()`` is the only clock, so
+    ``DuplicateDetector.detect`` takes the selection, progress callback and
+    prepared view as arguments, so the detector keeps no clone helper and
+    no class-level callback — and the matching and blocking components keep
+    no installed hooks either.  The session's ``advance()`` is the only clock, so
     ``repro.evaluation`` keeps its metrics and no timing helpers.
     """
 
@@ -230,6 +251,32 @@ class TestRemovedSurface:
     def test_detector_keeps_only_detect_and_redetect(self):
         public = sorted(name for name in vars(DuplicateDetector) if not name.startswith("_"))
         assert public == ["detect", "redetect_with_decisions"]
+
+    def test_no_hooks_on_shared_components(self):
+        """A run's prepared artifacts and progress sinks are call arguments
+        (``prepared=``, ``progress_callback=``, ``scoring=``), never hooks
+        installed on the matcher, seeder or blocking strategies a HumMer
+        shares across its sessions."""
+        import repro.matching.dumas
+        import repro.matching.duplicate_seed
+
+        for component, attributes in [
+            (DumasMatcher(), ["progress_callback", "field_corpus_provider"]),
+            (DuplicateSeeder(), ["progress_callback", "scoring_listener", "statistics_provider"]),
+            (TokenBlocking(), ["index_provider"]),
+            (AdaptiveBlocking(), ["profile_provider"]),
+        ]:
+            for attribute in attributes:
+                assert not hasattr(component, attribute), (component, attribute)
+        assert not hasattr(repro.matching.dumas, "FieldCorpusProvider")
+        assert not hasattr(repro.matching.duplicate_seed, "SeedStatisticsProvider")
+        for owner, attribute in [
+            (PreparedSources, "seeding"),
+            (PreparedSources, "matching"),
+            (PreparedQueryView, "blocking"),
+            (PreparedQueryView, "_install"),
+        ]:
+            assert not hasattr(owner, attribute), (owner, attribute)
 
     def test_evaluation_keeps_only_metrics(self):
         import repro.evaluation

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro import HumMer
+from repro.core.pipeline import FusionPipeline
 from repro.core.resolution import ResolutionFunction
 from repro.engine.relation import Relation
 from repro.exceptions import CatalogError
@@ -118,6 +119,32 @@ class TestFuse:
         session.advance_to(session.ATTRIBUTE_SELECTION)
         assert len(session.selection) > 0
         session.run()
+
+
+class TestAliasLists:
+    """A bare string is rejected where a list of aliases belongs — it would
+    otherwise be split into one-character aliases."""
+
+    def test_fuse_rejects_a_string(self, hummer):
+        with pytest.raises(TypeError, match="aliases"):
+            hummer.fuse("EE_Students")
+
+    def test_session_rejects_a_string(self, hummer):
+        with pytest.raises(TypeError, match="aliases"):
+            hummer.session("EE_Students")
+
+    def test_pipeline_session_rejects_a_string(self, catalog):
+        with pytest.raises(TypeError, match="aliases"):
+            FusionPipeline(catalog).session("EE_Students")
+
+    def test_prepare_rejects_a_string(self, hummer):
+        hummer.enable_prepare("lazy")
+        with pytest.raises(TypeError, match="aliases"):
+            hummer.prepare("EE_Students")
+        assert hummer.prepare(["EE_Students"])["sources"] == ["EE_Students"]
+
+    def test_tuples_are_still_accepted(self, hummer):
+        assert len(hummer.fuse(("EE_Students", "CS_Students")).relation) == 5
 
 
 class TestExtensibility:
