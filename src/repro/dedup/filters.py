@@ -96,11 +96,14 @@ class FilterStatistics:
 
 
 class UpperBoundFilter:
-    """Prunes candidate pairs whose upper-bound similarity is below the threshold.
+    """Prunes candidate pairs whose estimated similarity is below the threshold.
 
-    Because the bound is an over-estimate of the true similarity, pruning a
-    pair can never remove a true duplicate that the full measure would have
-    accepted at the same threshold.
+    The estimate (:meth:`DuplicateSimilarityMeasure.upper_bound`) is meant to
+    over-estimate the full measure, but it is not a true bound: values that
+    are close as dates or numbers yet share few characters score high and
+    estimate low.  ``1999-12-31`` and ``2000-01-01`` score 0.993 with an
+    estimate of 0.300, so the filter prunes a pair the full measure would
+    accept; ``use_filter=False`` keeps it.
     """
 
     def __init__(self, measure: DuplicateSimilarityMeasure, threshold: float, enabled: bool = True):

@@ -40,7 +40,7 @@ class CsvSource(DataSource):
         self.delimiter = delimiter
         self.quotechar = quotechar
         self.has_header = has_header
-        self.column_names = list(column_names) if column_names else None
+        self.column_names = _column_name_list(column_names)
         self.encoding = encoding
         self.infer_types = infer_types
         self.name = name or os.path.splitext(os.path.basename(self.path))[0]
@@ -62,6 +62,13 @@ class CsvSource(DataSource):
         return f"CsvSource({self.path})"
 
 
+def _column_name_list(column_names: Optional[Sequence[str]]) -> Optional[list]:
+    if isinstance(column_names, str):
+        # a string is a sequence too, and would name one column per character
+        raise TypeError(f"column_names must be a list, not the string {column_names!r}")
+    return list(column_names) if column_names else None
+
+
 def _rows_to_relation(
     rows: list,
     has_header: bool,
@@ -80,6 +87,9 @@ def _rows_to_relation(
         body = rows
     if column_names and has_header:
         header = list(column_names)
+    # Rows become dicts keyed by header name, so a repeated name would
+    # silently merge two columns; the schema rejects it (and non-strings).
+    Schema(header)
     width = len(header)
     records = []
     for row in body:
@@ -110,7 +120,9 @@ def relation_from_csv_text(
         rows = list(reader)
     except csv.Error as exc:
         raise SourceError(f"cannot parse CSV text: {exc}") from exc
-    return _rows_to_relation(rows, has_header, column_names, infer_types, name)
+    return _rows_to_relation(
+        rows, has_header, _column_name_list(column_names), infer_types, name
+    )
 
 
 def relation_to_csv_text(relation: Relation, delimiter: str = ",") -> str:

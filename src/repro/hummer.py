@@ -31,7 +31,7 @@ HTTP service built on top of it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import FusionConfig
 from repro.core.fusion import FusionSpec, ResolutionSpec
@@ -271,6 +271,10 @@ class HumMer:
 
     def _fusion_spec(self, resolutions) -> Optional[FusionSpec]:
         if resolutions:
+            if not isinstance(resolutions, Mapping):
+                raise TypeError(
+                    f"resolutions must map column names to functions, not {resolutions!r}"
+                )
             specs = [
                 ResolutionSpec(column, function)
                 for column, function in resolutions.items()

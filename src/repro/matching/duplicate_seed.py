@@ -30,7 +30,6 @@ merging the two sides' document frequencies.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -262,12 +261,9 @@ class DuplicateSeeder:
         document_frequency: Dict[str, int] = dict(left_stats.document_frequency)
         for term, frequency in right_stats.document_frequency.items():
             document_frequency[term] = document_frequency.get(term, 0) + frequency
-        idf = {
-            term: TfIdfVectorizer.idf_weight(frequency, document_count)
-            for term, frequency in document_frequency.items()
-        }
-        left_vectors = [_vectorize(counts, idf) for counts in left_stats.documents]
-        right_vectors = [_vectorize(counts, idf) for counts in right_stats.documents]
+        weigh = TfIdfVectorizer().fit_counts(document_frequency, document_count).weigh
+        left_vectors = [weigh(counts) for counts in left_stats.documents]
+        right_vectors = [weigh(counts) for counts in right_stats.documents]
 
         # Invert the right-hand vectors so only pairs sharing at least one
         # term are scored (sparse dot products), instead of all |L| x |R|.
@@ -387,25 +383,3 @@ class DuplicateSeeder:
                 heapq.heappush(heap, entry)
             elif entry > heap[0]:
                 heapq.heapreplace(heap, entry)
-
-    def _sample_indices(self, size: int) -> List[int]:
-        """Backwards-compatible alias of :func:`sample_indices`."""
-        return sample_indices(size, self.max_tuples_per_relation)
-
-
-def _vectorize(counts: Dict[str, int], idf: Dict[str, float]) -> Dict[str, float]:
-    """L2-normalised TF-IDF vector from raw term counts.
-
-    Mirrors :meth:`TfIdfVectorizer.transform` operation for operation
-    (including float summation order over the first-occurrence term order),
-    so prepared statistics score identically to the single-pass model.
-    """
-    if not counts:
-        return {}
-    vector = {
-        term: (1.0 + math.log(frequency)) * idf[term] for term, frequency in counts.items()
-    }
-    norm = math.sqrt(sum(weight * weight for weight in vector.values()))
-    if norm == 0.0:
-        return {}
-    return {term: weight / norm for term, weight in vector.items()}

@@ -15,7 +15,6 @@ import numpy as np
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
 from repro.matching.duplicate_seed import SeedPair
-from repro.similarity.base import SimilarityMeasure
 from repro.similarity.soft_tfidf import SoftTfIdfSimilarity
 
 __all__ = ["FieldSimilarityMatrix", "build_field_matrix", "average_matrices"]
@@ -72,14 +71,11 @@ def build_field_matrix(
 ) -> FieldSimilarityMatrix:
     """Compare one seed-duplicate pair field by field.
 
-    Cells where either value is null get score 0 — a missing value carries no
-    evidence for or against a correspondence.
-
-    When *measure* is a :class:`SimilarityMeasure` (or omitted — the default
-    SoftTFIDF is one), the whole non-null field cross product is scored as
-    one :meth:`~SimilarityMeasure.compare_batch` call, so the measure's batch
-    kernel can vectorise over the repeated field values.  Plain callables are
-    applied per cell pair as before; both paths produce bit-identical cells.
+    Every non-null cell pair is scored as ``measure(left, right)``; cells
+    where either value is null get score 0 — a missing value carries no
+    evidence for or against a correspondence.  The default SoftTFIDF memoises
+    each value's vector itself, so a measure reused across the seeds of one
+    match vectorises each distinct field value once.
     """
     left_values = left.row_values(seed.left_index)
     right_values = right.row_values(seed.right_index)
@@ -91,23 +87,14 @@ def build_field_matrix(
         ]
         measure = SoftTfIdfSimilarity(corpus=corpus)
     matrix = FieldSimilarityMatrix(left.schema.names, right.schema.names)
-    cells = [
-        (i, j)
-        for i, left_value in enumerate(left_values)
-        if not is_null(left_value)
-        for j, right_value in enumerate(right_values)
-        if not is_null(right_value)
-    ]
-    if isinstance(measure, SimilarityMeasure):
-        scores = measure.compare_batch(
-            [str(left_values[i]) for i, _ in cells],
-            [str(right_values[j]) for _, j in cells],
-        )
-        for (i, j), score in zip(cells, scores):
-            matrix.scores[i, j] = score
-    else:
-        for i, j in cells:
-            matrix.scores[i, j] = measure(str(left_values[i]), str(right_values[j]))
+    right_texts = [None if is_null(value) else str(value) for value in right_values]
+    for i, left_value in enumerate(left_values):
+        if is_null(left_value):
+            continue
+        left_text = str(left_value)
+        for j, right_text in enumerate(right_texts):
+            if right_text is not None:
+                matrix.scores[i, j] = measure(left_text, right_text)
     return matrix
 
 

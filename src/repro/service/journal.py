@@ -54,14 +54,24 @@ def relation_from_upload(body: Mapping[str, Any]) -> Relation:
     """Build the relation described by a source-upload request body.
 
     Shared by the upload handler and journal replay so a recovered source
-    is constructed by exactly the code path that registered it.
+    is constructed by exactly the code path that registered it.  It also
+    validates the fields the handler reads (``alias``, ``replace``), so a
+    malformed upload is a 400 naming the field before anything registers.
     """
     alias = body.get("alias")
     if alias is None:
         raise ApiError(400, "missing required field 'alias'", "MissingField")
+    if not isinstance(alias, str):
+        raise ApiError(400, f"'alias' must be a string, not {alias!r}", "InvalidField")
     data = body.get("data")
     if data is None:
         raise ApiError(400, "missing required field 'data'", "MissingField")
+    for flag in ("has_header", "replace"):
+        value = body.get(flag)
+        if value is not None and not isinstance(value, bool):
+            raise ApiError(
+                400, f"{flag!r} must be a JSON boolean, not {value!r}", "InvalidField"
+            )
     fmt = body.get("format", "json")
     if fmt == "csv":
         if not isinstance(data, str):
@@ -74,8 +84,10 @@ def relation_from_upload(body: Mapping[str, Any]) -> Relation:
             column_names=body.get("column_names"),
         )
     if fmt == "json":
-        if not isinstance(data, list):
-            raise ApiError(400, "json uploads send a list of row objects in 'data'")
+        if not isinstance(data, list) or not all(isinstance(row, dict) for row in data):
+            raise ApiError(
+                400, "json uploads send a list of row objects in 'data'", "InvalidField"
+            )
         return Relation.from_dicts(data, name=alias)
     raise ApiError(400, f"unknown source format {fmt!r} (csv or json)")
 

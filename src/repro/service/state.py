@@ -339,6 +339,14 @@ class ServiceState:
             tenant_id = f"t{next(self._tenant_ids)}"
             while tenant_id in self.tenants:
                 tenant_id = f"t{next(self._tenant_ids)}"
+        elif not isinstance(tenant_id, str) or not tenant_id or "/" in tenant_id:
+            # Only a non-empty string without '/' is one path segment of
+            # /tenants/{t}; anything else would be a tenant no route reaches.
+            raise ApiError(
+                400,
+                f"tenant id must be a non-empty string without '/', not {tenant_id!r}",
+                "InvalidField",
+            )
         if tenant_id in self.tenants:
             raise ApiError(409, f"tenant {tenant_id!r} already exists", "TenantExists")
         effective = config if config is not None else FusionConfig()

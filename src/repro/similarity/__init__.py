@@ -13,7 +13,7 @@ These are the measures the paper's components rely on:
 All similarities are normalised to ``[0, 1]`` where 1 means identical.
 """
 
-from repro.similarity.base import SimilarityMeasure, TokenSimilarity
+from repro.similarity.base import SimilarityMeasure
 from repro.similarity.tokenize import tokenize, qgrams, normalize_text
 from repro.similarity.levenshtein import (
     levenshtein_distance,
@@ -30,7 +30,6 @@ from repro.similarity.numeric import numeric_similarity, date_similarity, value_
 
 __all__ = [
     "SimilarityMeasure",
-    "TokenSimilarity",
     "tokenize",
     "qgrams",
     "normalize_text",

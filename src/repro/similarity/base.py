@@ -1,11 +1,17 @@
-"""Similarity measure interfaces."""
+"""Similarity measure interface.
+
+Each measure has exactly one implementation, :meth:`SimilarityMeasure.compare`;
+callers that score many pairs loop over it (``measure(a, b)``).  A measure
+whose comparisons share expensive per-value work memoises that work itself —
+see :class:`~repro.similarity.soft_tfidf.SoftTfIdfSimilarity` — so the cache
+can never make a score depend on how the pairs were batched.
+"""
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["SimilarityMeasure", "TokenSimilarity"]
+__all__ = ["SimilarityMeasure"]
 
 
 class SimilarityMeasure(abc.ABC):
@@ -15,59 +21,5 @@ class SimilarityMeasure(abc.ABC):
     def compare(self, left: str, right: str) -> float:
         """Return the similarity of the two strings (1 = identical)."""
 
-    def compare_batch(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> List[float]:
-        """Score aligned value sequences pairwise: ``result[i] = compare(l[i], r[i])``.
-
-        The default implementation loops over :meth:`compare`, so every
-        measure supports batching out of the box.  Measures with exploitable
-        batch structure override this with a vectorised kernel — the contract
-        is that the returned floats are **bit-identical** to the per-pair
-        loop (kernels may reorder *work*, e.g. dedupe repeated pairs or
-        pre-tokenise shared values, but never the per-pair arithmetic).
-        """
-        if len(left_values) != len(right_values):
-            raise ValueError(
-                f"batch sides differ in length: {len(left_values)} vs {len(right_values)}"
-            )
-        compare = self.compare
-        return [compare(left, right) for left, right in zip(left_values, right_values)]
-
-    def _compare_batch_deduped(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> List[float]:
-        """Batch kernel for measures that are pure functions of the value pair.
-
-        Real candidate batches repeat cell pairs heavily (blocking groups
-        similar tuples, columns repeat values), so scoring each *distinct*
-        ``(left, right)`` pair once and fanning the result back out skips most
-        of the work.  Scores are bit-identical to the per-pair loop because
-        ``compare`` is deterministic in its arguments.
-        """
-        if len(left_values) != len(right_values):
-            raise ValueError(
-                f"batch sides differ in length: {len(left_values)} vs {len(right_values)}"
-            )
-        compare = self.compare
-        cache: Dict[Tuple[str, str], float] = {}
-        scores: List[float] = []
-        for left, right in zip(left_values, right_values):
-            key = (left, right)
-            score = cache.get(key)
-            if score is None:
-                score = compare(left, right)
-                cache[key] = score
-            scores.append(score)
-        return scores
-
     def __call__(self, left: str, right: str) -> float:
         return self.compare(left, right)
-
-
-class TokenSimilarity(abc.ABC):
-    """A normalised similarity between two token sequences."""
-
-    @abc.abstractmethod
-    def compare_tokens(self, left: Sequence[str], right: Sequence[str]) -> float:
-        """Return the similarity of the two token sequences (1 = identical)."""

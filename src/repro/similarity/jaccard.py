@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence
-
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.tokenize import tokenize
 
@@ -40,41 +38,3 @@ class JaccardSimilarity(SimilarityMeasure):
 
     def compare(self, left: str, right: str) -> float:
         return jaccard_similarity(left, right)
-
-    def compare_batch(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> List[float]:
-        """Batch kernel: tokenise each distinct value once across the batch.
-
-        A candidate column repeats values, and both sides of different pairs
-        often share values; the per-pair set arithmetic is cheap next to
-        tokenisation, so memoising value → token set removes most of the
-        cost.  Scores are bit-identical to the per-pair loop —
-        ``jaccard_similarity`` is a pure function of the two token sets.
-        """
-        if len(left_values) != len(right_values):
-            raise ValueError(
-                f"batch sides differ in length: {len(left_values)} vs {len(right_values)}"
-            )
-        token_sets: Dict[str, FrozenSet[str]] = {}
-
-        def tokens(value: str) -> FrozenSet[str]:
-            cached = token_sets.get(value)
-            if cached is None:
-                cached = frozenset(tokenize(value))
-                token_sets[value] = cached
-            return cached
-
-        scores: List[float] = []
-        for left, right in zip(left_values, right_values):
-            left_tokens = tokens(left)
-            right_tokens = tokens(right)
-            if not left_tokens and not right_tokens:
-                scores.append(1.0)
-            elif not left_tokens or not right_tokens:
-                scores.append(0.0)
-            else:
-                intersection = len(left_tokens & right_tokens)
-                union = len(left_tokens | right_tokens)
-                scores.append(intersection / union)
-        return scores

@@ -85,8 +85,3 @@ class JaroWinklerSimilarity(SimilarityMeasure):
             left = normalize_text(left)
             right = normalize_text(right)
         return jaro_winkler_similarity(left, right, prefix_scale=self.prefix_scale)
-
-    def compare_batch(self, left_values, right_values):
-        # Character alignment is the cost; dedupe repeated (value, value)
-        # pairs across the batch.
-        return self._compare_batch_deduped(left_values, right_values)

@@ -7,7 +7,7 @@ using edit distance and numerical distance functions").
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.tokenize import normalize_text
@@ -91,10 +91,3 @@ class LevenshteinSimilarity(SimilarityMeasure):
 
     def compare(self, left: str, right: str) -> float:
         return levenshtein_similarity(left, right, normalize=self.normalize)
-
-    def compare_batch(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> List[float]:
-        # Candidate batches repeat cell pairs heavily, so score each distinct
-        # pair once.
-        return self._compare_batch_deduped(left_values, right_values)

@@ -14,14 +14,16 @@ similarity matrix (paper §2.2).
 
 The secondary measure dominates the cost of a comparison: ``_directed`` makes
 O(|S|·|T|) Jaro-Winkler calls per field pair, and DUMAS compares the same
-attribute values across every seed's field matrix.  A bounded token-pair
-cache memoises those calls — the secondary measure is a pure function of the
-two tokens, so caching can change runtimes but never scores.
+attribute values across every seed's field matrix.  Two bounded caches
+memoise that repeated work: a token-pair cache for the secondary measure and,
+once the instance is fitted, a per-value cache of TF-IDF vectors (cleared by
+every refit).  Each cached value is a pure function of its key under the
+current model, so the caches can change runtimes but never scores.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.jaro import jaro_winkler_similarity
@@ -44,9 +46,10 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
         secondary: character-level similarity for near-matching tokens.
         threshold: minimum secondary similarity for a token pair to count as
             "close" (0.9 in the original paper).
-        secondary_cache_size: bound on the number of memoised token pairs for
-            the secondary measure (0 disables caching).  Eviction is FIFO;
-            the cache is transparent — it never changes a score.
+        secondary_cache_size: bound on the entries of each cache — memoised
+            token pairs of the secondary measure, and the fitted model's
+            memoised value vectors (0 disables both).  Eviction is FIFO; the
+            caches are transparent — they never change a score.
     """
 
     def __init__(
@@ -61,6 +64,7 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
         self.threshold = threshold
         self.secondary_cache_size = secondary_cache_size
         self._secondary_cache: Dict[Tuple[str, str], float] = {}
+        self._vectors: Dict[str, Dict[str, float]] = {}
         self._fitted = False
         if corpus is not None:
             self.fit(corpus)
@@ -68,6 +72,7 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
     def fit(self, corpus: Iterable[str]) -> "SoftTfIdfSimilarity":
         """Fit IDF weights on *corpus*."""
         self.vectorizer.fit(corpus)
+        self._vectors = {}
         self._fitted = True
         return self
 
@@ -82,18 +87,21 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
         a single cell value.
         """
         self.vectorizer.fit_counts(document_frequency, document_count)
+        self._vectors = {}
         self._fitted = True
         return self
 
     def compare(self, left: str, right: str) -> float:
-        vectorizer = self.vectorizer
-        if not self._fitted:
+        if self._fitted:
+            left_vector = self._vector(left)
+            right_vector = self._vector(right)
+        else:
             # Local throwaway fit: refitting the shared vectorizer per pair
             # would leave a reused instance dependent on comparison order.
             vectorizer = TfIdfVectorizer(tokenizer=self.vectorizer.tokenizer)
             vectorizer.fit([left, right])
-        left_vector = vectorizer.transform(left)
-        right_vector = vectorizer.transform(right)
+            left_vector = vectorizer.transform(left)
+            right_vector = vectorizer.transform(right)
         if not left_vector or not right_vector:
             return 1.0 if not left_vector and not right_vector else 0.0
 
@@ -102,73 +110,32 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
         # compare(a, b) == compare(b, a), which the matching matrix relies on.
         return min(1.0, max(score, self._directed(right_vector, left_vector)))
 
-    def compare_batch(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> List[float]:
-        """Batch kernel: vectorise each distinct value and score each distinct pair once.
-
-        The ``_directed`` pass makes O(|S|·|T|) secondary-measure calls per
-        pair, and candidate batches repeat both values and whole pairs, so
-        the kernel (a) transforms each distinct value once under the fitted
-        model and (b) runs the directed passes once per distinct (left,
-        right) pair.  Both are transparent — the score is a pure function of
-        the two vectors — so results are bit-identical to the per-pair loop.
-        Unfitted instances dedupe distinct pairs only (the throwaway fit is
-        itself pair-local).
-        """
-        if len(left_values) != len(right_values):
-            raise ValueError(
-                f"batch sides differ in length: {len(left_values)} vs {len(right_values)}"
-            )
-        if not self._fitted:
-            return self._compare_batch_deduped(left_values, right_values)
-        transform = self.vectorizer.transform
-        vectors: Dict[str, Dict[str, float]] = {}
-
-        def vector(value: str) -> Dict[str, float]:
-            cached = vectors.get(value)
-            if cached is None:
-                cached = transform(value)
-                vectors[value] = cached
-            return cached
-
-        pair_scores: Dict[Tuple[str, str], float] = {}
-        scores: List[float] = []
-        for left, right in zip(left_values, right_values):
-            key = (left, right)
-            score = pair_scores.get(key)
-            if score is None:
-                left_vector = vector(left)
-                right_vector = vector(right)
-                if not left_vector or not right_vector:
-                    score = 1.0 if not left_vector and not right_vector else 0.0
-                else:
-                    score = min(
-                        1.0,
-                        max(
-                            self._directed(left_vector, right_vector),
-                            self._directed(right_vector, left_vector),
-                        ),
-                    )
-                pair_scores[key] = score
-            scores.append(score)
-        return scores
-
-    def _secondary_similarity(self, left_token: str, right_token: str) -> float:
-        """The secondary measure, memoised under the bounded FIFO cache."""
-        if self.secondary_cache_size <= 0:
-            return self.secondary(left_token, right_token)
-        key = (left_token, right_token)
-        cache = self._secondary_cache
-        cached = cache.get(key)
-        if cached is None:
-            cached = self.secondary(left_token, right_token)
+    def _remember(self, cache: Dict[Any, Any], key: Any, value: Any) -> Any:
+        """Store *value* under *key* in a bounded FIFO cache and return it."""
+        if self.secondary_cache_size > 0:
             if len(cache) >= self.secondary_cache_size:
                 # FIFO eviction: dicts iterate in insertion order, so the
                 # first key is the oldest entry.
                 cache.pop(next(iter(cache)))
-            cache[key] = cached
-        return cached
+            cache[key] = value
+        return value
+
+    def _vector(self, value: str) -> Dict[str, float]:
+        """The fitted model's vector of *value*, memoised until the next fit."""
+        vector = self._vectors.get(value)
+        if vector is None:
+            vector = self._remember(self._vectors, value, self.vectorizer.transform(value))
+        return vector
+
+    def _secondary_similarity(self, left_token: str, right_token: str) -> float:
+        """The secondary measure, memoised per token pair."""
+        key = (left_token, right_token)
+        similarity = self._secondary_cache.get(key)
+        if similarity is None:
+            similarity = self._remember(
+                self._secondary_cache, key, self.secondary(left_token, right_token)
+            )
+        return similarity
 
     def _directed(self, source: Dict[str, float], target: Dict[str, float]) -> float:
         total = 0.0

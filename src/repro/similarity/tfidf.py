@@ -102,7 +102,16 @@ class TfIdfVectorizer:
 
     def transform(self, document: str) -> Dict[str, float]:
         """Turn one document into an L2-normalised TF-IDF vector."""
-        counts = Counter(self.tokenizer(document))
+        return self.weigh(Counter(self.tokenizer(document)))
+
+    def weigh(self, counts: Mapping[str, int]) -> Dict[str, float]:
+        """Turn raw term counts into an L2-normalised TF-IDF vector.
+
+        The vector keeps the order of *counts*, and the norm sums the weights
+        in that order, so counts in the tokenizer's first-occurrence order
+        (as :meth:`transform` and prepared seeding statistics hold them)
+        give bit-identical vectors.
+        """
         if not counts:
             return {}
         vector = {
@@ -147,35 +156,3 @@ class TfIdfSimilarity(SimilarityMeasure):
             vectorizer = TfIdfVectorizer(tokenizer=self.vectorizer.tokenizer)
             vectorizer.fit([left, right])
         return vectorizer.similarity(left, right)
-
-    def compare_batch(
-        self, left_values: Sequence[str], right_values: Sequence[str]
-    ) -> List[float]:
-        """Batch kernel: vectorise each distinct value once across the batch.
-
-        Under a fitted model a document's vector depends only on the document,
-        so the kernel transforms each distinct value once and takes cosines
-        per pair — bit-identical to the per-pair loop.  Unfitted instances
-        fall back to scoring each *distinct pair* once (the throwaway fit
-        makes the score a pure function of the pair).
-        """
-        if len(left_values) != len(right_values):
-            raise ValueError(
-                f"batch sides differ in length: {len(left_values)} vs {len(right_values)}"
-            )
-        if not self._fitted:
-            return self._compare_batch_deduped(left_values, right_values)
-        transform = self.vectorizer.transform
-        vectors: Dict[str, Dict[str, float]] = {}
-
-        def vector(value: str) -> Dict[str, float]:
-            cached = vectors.get(value)
-            if cached is None:
-                cached = transform(value)
-                vectors[value] = cached
-            return cached
-
-        return [
-            cosine_similarity(vector(left), vector(right))
-            for left, right in zip(left_values, right_values)
-        ]

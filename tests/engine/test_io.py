@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.engine.io import CsvSource, JsonSource, XmlSource, write_csv, write_json
+from repro.engine.io.csv_source import relation_from_csv_text
 from repro.engine.types import DataType
-from repro.exceptions import SourceError
+from repro.exceptions import DuplicateColumnError, SourceError
 
 
 class TestCsvSource:
@@ -55,6 +56,34 @@ class TestCsvSource:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(SourceError):
             CsvSource(tmp_path / "missing.csv").load()
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("name,name\nAnna,Berlin\n", "name"), ("Name,name\nAnna,Berlin\n", "name"),
+         ("a,b,a\n1,2,3\n", "a")],
+    )
+    def test_repeated_header_raises(self, tmp_path, text, column):
+        # rows are keyed by header name, so a repeated name would overwrite
+        # a column (Anna would be lost)
+        path = tmp_path / "dup.csv"
+        path.write_text(text)
+        with pytest.raises(DuplicateColumnError, match=f"'{column}'"):
+            CsvSource(path).load()
+        with pytest.raises(DuplicateColumnError, match=f"'{column}'"):
+            relation_from_csv_text(text)
+
+    def test_repeated_column_names_raise(self):
+        with pytest.raises(DuplicateColumnError, match="'X'"):
+            relation_from_csv_text("1,2\n", has_header=False, column_names=["x", "X"])
+
+    def test_string_column_names_raise(self, tmp_path):
+        # a string is a sequence of one-character column names
+        path = tmp_path / "raw.csv"
+        path.write_text("1,2\n")
+        with pytest.raises(TypeError, match="column_names"):
+            CsvSource(path, has_header=False, column_names="ab")
+        with pytest.raises(TypeError, match="column_names"):
+            relation_from_csv_text("1,2\n", has_header=False, column_names="ab")
 
     def test_source_name_defaults_to_filename(self, tmp_path):
         path = tmp_path / "students.csv"

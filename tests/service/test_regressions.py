@@ -27,6 +27,17 @@ Request bodies:
 8. A bare string ``aliases`` was split into characters: ``{"aliases": "ab"}``
    created (and journaled) a session over sources ``a`` and ``b``, and
    ``/prepare`` answered 404 for source ``'a'``.
+
+Tenant ids and source uploads:
+
+9. ``POST /tenants {"tenant": 5}`` (or ``true``) created a tenant that made
+   ``GET /tenants`` and ``GET /stats`` answer 400 for every client until a
+   restart; ``""`` and ``"a/b"`` created tenants no route reaches.
+10. Upload fields of the wrong shape answered 500 (a non-string alias, JSON
+    rows that are lists, non-mapping session resolutions) or were misread:
+    a repeated CSV header dropped a column, a string ``column_names`` named
+    one column per character, and ``"replace": "no"`` / ``"has_header":
+    "false"`` counted as true.
 """
 
 import http.client
@@ -289,3 +300,84 @@ class TestStringAliases:
         assert caught.value.status == 400
         assert caught.value.error_type == "TypeError"
         assert "aliases" in caught.value.message
+
+
+class TestTenantIds:
+    @pytest.mark.parametrize("tenant", [5, "", True, "a/b"])
+    def test_unreachable_tenant_id_is_400(self, server, client, tenant):
+        with pytest.raises(ServiceError) as caught:
+            client._request("POST", "/tenants", {"tenant": tenant})
+        assert caught.value.status == 400
+        assert caught.value.error_type == "InvalidField"
+        assert "tenant" in caught.value.message
+        # the listing and the stats still answer for every client
+        assert client.tenant in client.tenants()
+        assert client.tenant in client.stats()["tenants"]
+
+
+def upload_error(client, body):
+    """POST a source upload that must fail; returns the ServiceError."""
+    with pytest.raises(ServiceError) as caught:
+        client._request("POST", client._tenant_path("/sources"), body)
+    return caught.value
+
+
+class TestUploadFields:
+    @pytest.mark.parametrize("alias", [5, ["l"]])
+    @pytest.mark.parametrize("fmt, data", [("json", [{"a": 1}]), ("csv", "a\n1\n")])
+    def test_non_string_alias_is_400(self, server, client, alias, fmt, data):
+        error = upload_error(client, {"alias": alias, "format": fmt, "data": data})
+        assert (error.status, error.error_type) == (400, "InvalidField")
+        assert "alias" in error.message
+        assert client.sources() == []
+
+    def test_list_rows_are_400(self, server, client):
+        error = upload_error(client, {"alias": "x", "data": [["x", "y"]]})
+        assert (error.status, error.error_type) == (400, "InvalidField")
+        assert "data" in error.message
+        assert client.sources() == []
+
+    @pytest.mark.parametrize("header", ["name,name", "Name,name"])
+    def test_repeated_csv_header_is_400(self, server, client, header):
+        error = upload_error(
+            client, {"alias": "x", "format": "csv", "data": f"{header}\nAnna,Berlin\n"}
+        )
+        assert (error.status, error.error_type) == (400, "DuplicateColumnError")
+        assert "'name'" in error.message
+        assert client.sources() == []
+
+    def test_string_column_names_is_400(self, server, client):
+        error = upload_error(client, {
+            "alias": "x", "format": "csv", "data": "1,2\n",
+            "has_header": False, "column_names": "ab",
+        })
+        assert (error.status, error.error_type) == (400, "TypeError")
+        assert "column_names" in error.message
+        assert client.sources() == []
+
+    def test_string_has_header_is_400(self, server, client):
+        error = upload_error(
+            client, {"alias": "x", "format": "csv", "data": "a,b\n1,2\n", "has_header": "false"}
+        )
+        assert (error.status, error.error_type) == (400, "InvalidField")
+        assert "has_header" in error.message
+        assert client.sources() == []
+
+    def test_string_replace_is_400_and_keeps_the_source(self, server, client):
+        client.upload_rows("x", [{"a": 1}])
+        error = upload_error(client, {"alias": "x", "data": [{"a": 2}], "replace": "no"})
+        assert (error.status, error.error_type) == (400, "InvalidField")
+        assert "replace" in error.message
+        assert client.query("SELECT a FROM x")["rows"] == [[1]]
+
+    @pytest.mark.parametrize("resolutions", [["x"], "x"])
+    def test_non_mapping_resolutions_is_400(self, server, client, golden_csv, resolutions):
+        aliases = upload_golden(client, golden_csv)
+        with pytest.raises(ServiceError) as caught:
+            client._request(
+                "POST", client._tenant_path("/sessions"),
+                {"aliases": aliases, "resolutions": resolutions},
+            )
+        assert (caught.value.status, caught.value.error_type) == (400, "TypeError")
+        assert "resolutions" in caught.value.message
+        assert client.tenant_status()["sessions"] == []

@@ -147,6 +147,17 @@ class TestAliasLists:
         assert len(hummer.fuse(("EE_Students", "CS_Students")).relation) == 5
 
 
+class TestResolutionMaps:
+    """Resolutions map column names to functions; any other shape is a
+    ``TypeError`` naming the argument, not an ``AttributeError`` deep in
+    spec construction."""
+
+    @pytest.mark.parametrize("resolutions", [["x"], "x", [("Age", "max")]])
+    def test_session_rejects_a_non_mapping(self, hummer, resolutions):
+        with pytest.raises(TypeError, match="resolutions"):
+            hummer.session(["EE_Students", "CS_Students"], resolutions=resolutions)
+
+
 class TestExtensibility:
     def test_custom_resolution_function_usable_from_query(self, hummer):
         class CheapestPlusShipping(ResolutionFunction):
