@@ -732,8 +732,8 @@ def test_e4_matching_scale(benchmark, request):
     * the warm prepare rebuilds zero field-corpus artifacts, and the warm
       match is bit-identical to the cold one (correspondences, seeds and the
       averaged matrix, exact floats);
-    * the pruned seed scorer computes cosines for < 50% of the
-      posting-sharing candidate pairs (measured, reported per size);
+    * the pruned seed scorer computes cosines for < 50% of the candidate
+      pairs its essential terms propose (measured, reported per size);
     * the end-to-end fuse at the largest configured size completes
       interactively (< 60 s — the "past the dedup wall" headline number
       when run at the full 10k default).
@@ -801,8 +801,8 @@ def test_e4_matching_scale(benchmark, request):
         assert match_fingerprint(warm) == match_fingerprint(cold)
         warm_scoring = warm_matcher.seeder.last_scoring.as_dict()
         assert warm_scoring["seed_candidates"] == scoring["seed_candidates"]
-        # the pruning acceptance bar: most posting-sharing candidates are
-        # proved out by their upper bound without computing the cosine
+        # the pruning acceptance bar: most proposed candidates are proved
+        # out by their upper bound without computing the cosine
         assert scoring["seed_scored_fraction"] < 0.5
 
         rows.append(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.relation import Relation
-from repro.engine.types import is_null
+from repro.engine.types import is_null, value_key
 
 __all__ = ["ConflictKind", "Conflict", "ConflictReport", "find_conflicts"]
 
@@ -48,7 +48,7 @@ class Conflict:
         for value in self.values:
             if is_null(value):
                 continue
-            key = (type(value).__name__, str(value))
+            key = value_key(value)
             if key not in seen:
                 seen.add(key)
                 distinct.append(value)
@@ -93,9 +93,7 @@ class ConflictReport:
 def classify_values(values: Sequence[Any]) -> ConflictKind:
     """Classify the values of one attribute within one cluster."""
     non_null = [value for value in values if not is_null(value)]
-    distinct = set()
-    for value in non_null:
-        distinct.add((type(value).__name__, str(value)))
+    distinct = {value_key(value) for value in non_null}
     if len(distinct) > 1:
         return ConflictKind.CONTRADICTION
     if len(non_null) < len(values) and len(non_null) >= 1 and len(values) > 1:

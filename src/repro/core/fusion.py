@@ -26,7 +26,7 @@ from repro.dedup.detector import OBJECT_ID_COLUMN
 from repro.engine.operators.groupby import group_rows
 from repro.engine.relation import Relation, Row
 from repro.engine.schema import Column, Schema
-from repro.engine.types import infer_column_type
+from repro.engine.types import infer_column_type, is_null
 from repro.exceptions import FusionError
 from repro.matching.transform import SOURCE_ID_COLUMN
 
@@ -247,7 +247,27 @@ class FusionOperator:
             cells = list(key_values)
             resolved_conflicts = 0
             lineage: List[CellLineage] = []
+            lone = group[0] if len(group) == 1 else None
+            if lone is not None:
+                source = None if source_position is None else lone[source_position]
+                lone_sources = frozenset() if source is None else frozenset({str(source)})
             for spec, function, position in zip(output_specs, functions, input_positions):
+                if lone is not None and function.keeps_single_value:
+                    # A function that returns a lone value unchanged needs no
+                    # context: copy the cell.  One value cannot conflict, and
+                    # its lineage is its source (none for a null).
+                    value = lone[position]
+                    null = is_null(value)
+                    cells.append(None if null else value)
+                    lineage.append(
+                        CellLineage(
+                            spec.output_name,
+                            object_id,
+                            frozenset() if null else lone_sources,
+                            merged=False,
+                        )
+                    )
+                    continue
                 values = [group_values[position] for group_values in group]
                 context = ResolutionContext(
                     column=spec.column,

@@ -18,7 +18,7 @@ import abc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.engine.relation import Row
-from repro.engine.types import is_null
+from repro.engine.types import is_null, value_key
 from repro.exceptions import ResolutionError, UnknownResolutionFunctionError
 
 __all__ = [
@@ -109,7 +109,7 @@ class ResolutionContext:
         seen = set()
         distinct = []
         for value in self.non_null_values:
-            key = self._value_key(value)
+            key = value_key(value)
             if key not in seen:
                 seen.add(key)
                 distinct.append(value)
@@ -132,18 +132,19 @@ class ResolutionContext:
                 return value
         return None
 
-    @staticmethod
-    def _value_key(value: Any):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return ("num", float(value))
-        return (type(value).__name__, str(value))
-
 
 class ResolutionFunction(abc.ABC):
     """A conflict-resolution strategy applied per column, per object cluster."""
 
     #: Registry name; subclasses must set it.
     name: str = ""
+
+    #: Declares that :meth:`resolve` over a single value returns that value
+    #: itself (``None`` when it is null).  The fusion operator then copies
+    #: the cell of a one-tuple group without building a context.  Off by
+    #: default: a function that does not declare it is always resolved, and
+    #: a subclass that overrides :meth:`resolve` must re-check the claim.
+    keeps_single_value: bool = False
 
     @abc.abstractmethod
     def resolve(self, context: ResolutionContext) -> Any:
@@ -165,9 +166,16 @@ class FunctionResolution(ResolutionFunction):
     the standard aggregation functions already available in SQL".
     """
 
-    def __init__(self, name: str, function: Callable[[Sequence[Any]], Any], doc: str = ""):
+    def __init__(
+        self,
+        name: str,
+        function: Callable[[Sequence[Any]], Any],
+        doc: str = "",
+        keeps_single_value: bool = False,
+    ):
         self.name = name
         self._function = function
+        self.keeps_single_value = keeps_single_value
         self.__doc__ = doc or f"Standard aggregate {name!r} applied to the non-null values."
 
     def resolve(self, context: ResolutionContext) -> Any:

@@ -8,7 +8,7 @@ numeric extensions, all under one extensible registry.
 
 from __future__ import annotations
 
-from repro.core.resolution.base import ResolutionRegistry
+from repro.core.resolution.base import FunctionResolution, ResolutionRegistry
 from repro.core.resolution.content import (
     AnnotatedConcat,
     Concat,
@@ -49,10 +49,14 @@ def build_default_registry() -> ResolutionRegistry:
     # Standard SQL aggregates usable as resolution functions (paper: "In
     # addition to the standard aggregation functions already available in SQL").
     for name in ("min", "max", "sum", "avg", "median", "count", "stddev", "variance"):
-        registry.register_callable(
-            name,
-            AGGREGATE_FUNCTIONS[name],
-            doc=f"Standard SQL aggregate {name.upper()} over the non-null conflicting values.",
+        registry.register(
+            FunctionResolution(
+                name,
+                AGGREGATE_FUNCTIONS[name],
+                doc=f"Standard SQL aggregate {name.upper()} over the non-null conflicting values.",
+                # the others compute a new value even from one (avg(1) is 1.0)
+                keeps_single_value=name in ("min", "max", "median"),
+            )
         )
 
     # Numeric extensions (HumMer is extensible; new functions can be added).

@@ -10,7 +10,7 @@ from collections import Counter
 from typing import Any, List
 
 from repro.core.resolution.base import ResolutionContext, ResolutionFunction
-from repro.engine.types import is_null
+from repro.engine.types import is_null, value_key
 
 __all__ = ["Vote", "Group", "Concat", "AnnotatedConcat", "Shortest", "Longest"]
 
@@ -25,6 +25,7 @@ class Vote(ResolutionFunction):
     """
 
     name = "vote"
+    keeps_single_value = True
 
     def resolve(self, context: ResolutionContext) -> Any:
         values = context.non_null_values
@@ -33,7 +34,7 @@ class Vote(ResolutionFunction):
         counts: Counter = Counter()
         first_position = {}
         for position, value in enumerate(values):
-            key = ResolutionContext._value_key(value)
+            key = value_key(value)
             counts[key] += 1
             first_position.setdefault(key, (position, value))
         best_key = max(counts, key=lambda key: (counts[key], -first_position[key][0]))
@@ -48,6 +49,7 @@ class Group(ResolutionFunction):
     """
 
     name = "group"
+    keeps_single_value = True
 
     def resolve(self, context: ResolutionContext) -> Any:
         distinct = context.distinct_values
@@ -62,6 +64,7 @@ class Concat(ResolutionFunction):
     """Returns the concatenated distinct values."""
 
     name = "concat"
+    keeps_single_value = True
 
     def __init__(self, separator: str = ", "):
         self.separator = separator
@@ -107,6 +110,7 @@ class Shortest(ResolutionFunction):
     """Chooses the value of minimum length according to a length measure (string length)."""
 
     name = "shortest"
+    keeps_single_value = True
 
     def resolve(self, context: ResolutionContext) -> Any:
         values = context.non_null_values
@@ -119,6 +123,7 @@ class Longest(ResolutionFunction):
     """Chooses the value of maximum length according to a length measure (string length)."""
 
     name = "longest"
+    keeps_single_value = True
 
     def resolve(self, context: ResolutionContext) -> Any:
         values = context.non_null_values

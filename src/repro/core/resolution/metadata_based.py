@@ -32,6 +32,8 @@ class Choose(ResolutionFunction):
             raise ResolutionError("choose() needs a source alias")
         self.source = source
         self.strict = strict
+        # strict returns null when another source supplied the one value
+        self.keeps_single_value = not strict
 
     def resolve(self, context: ResolutionContext) -> Any:
         for value, source in zip(context.values, context.sources):
@@ -49,6 +51,7 @@ class ChooseSourceOrder(ResolutionFunction):
     """Returns the value from the highest-priority source in a preference list."""
 
     name = "choose_source_order"
+    keeps_single_value = True
 
     def __init__(self, *sources: str):
         if not sources:

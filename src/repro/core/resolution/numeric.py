@@ -61,6 +61,7 @@ class MostPrecise(ResolutionFunction):
     """Chooses the value with the most decimal places (assumed most accurate)."""
 
     name = "most_precise"
+    keeps_single_value = True
 
     def resolve(self, context: ResolutionContext) -> Any:
         best_value = None

@@ -17,6 +17,7 @@ class Coalesce(ResolutionFunction):
     """Takes the first non-null value appearing (the Fuse By default function)."""
 
     name = "coalesce"
+    keeps_single_value = True
 
     def resolve(self, context: ResolutionContext) -> Any:
         for value in context.values:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import statistics
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.engine.types import is_null
+from repro.engine.types import is_null, value_key
 from repro.exceptions import ExpressionError
 
 __all__ = ["AGGREGATE_FUNCTIONS", "aggregate_function"]
@@ -87,14 +87,7 @@ def _agg_variance(values: Sequence[Any]) -> Any:
 
 
 def _agg_count_distinct(values: Sequence[Any]) -> int:
-    present = _non_null(values)
-    seen = set()
-    for value in present:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            seen.add(("num", float(value)))
-        else:
-            seen.add((type(value).__name__, str(value)))
-    return len(seen)
+    return len({value_key(value) for value in _non_null(values)})
 
 
 #: Registry of standard aggregates: name → function(list of values) → value.

@@ -14,7 +14,7 @@ from repro.engine.operators.aggregates import aggregate_function
 from repro.engine.operators.base import Operator
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
-from repro.engine.types import infer_column_type, is_null
+from repro.engine.types import infer_column_type, is_null, value_key
 
 __all__ = ["AggregateSpec", "GroupBy", "Aggregate", "group_rows"]
 
@@ -54,12 +54,7 @@ def _group_key(values: tuple, positions: Sequence[int]) -> tuple:
     key = []
     for position in positions:
         value = values[position]
-        if is_null(value):
-            key.append(("null",))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            key.append(("num", float(value)))
-        else:
-            key.append((type(value).__name__, str(value)))
+        key.append(("null",) if is_null(value) else value_key(value))
     return tuple(key)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "infer_type",
     "infer_column_type",
     "values_equal",
+    "value_key",
     "compare_values",
 ]
 
@@ -259,6 +260,18 @@ def values_equal(left: Any, right: Any) -> bool:
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         return float(left) == float(right)
     return left == right
+
+
+def value_key(value: Any) -> tuple:
+    """The hashable identity of a non-null value: when two values are "the same".
+
+    Numerics key by ``float`` value (so ``10`` and ``10.0`` are one value),
+    everything else by type name and text.  Conflict detection, conflict
+    resolution, grouping and ``count_distinct`` all key values with this.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return ("num", float(value))
+    return (type(value).__name__, str(value))
 
 
 def compare_values(left: Any, right: Any) -> int:

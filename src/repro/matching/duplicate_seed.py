@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.relation import Relation
@@ -157,10 +158,11 @@ _BOUND_SLACK = 1e-9
 class SeedScoringStatistics:
     """Observability counters of one :meth:`DuplicateSeeder.find_seeds` call.
 
-    ``candidate_count`` counts the posting-sharing pairs (pairs with at least
-    one common term — the pairs the full scan would score); ``scored_count``
-    counts the cosines actually computed.  With pruning enabled the gap is
-    the work the upper-bound filter saved; without it the two are equal.
+    ``candidate_count`` counts the pairs the scan examined: without pruning
+    every posting-sharing pair (pairs with at least one common term), with
+    pruning only the pairs the essential terms proposed.  ``scored_count``
+    counts the cosines actually computed.  The full scan scores every pair
+    it examines, so there the two are equal.
     """
 
     candidate_count: int = 0
@@ -168,12 +170,12 @@ class SeedScoringStatistics:
 
     @property
     def pruned_count(self) -> int:
-        """Candidates skipped because their upper bound was below the floor."""
+        """Examined candidates skipped because their upper bound was below the floor."""
         return self.candidate_count - self.scored_count
 
     @property
     def scored_fraction(self) -> float:
-        """Fraction of posting-sharing candidates whose cosine was computed."""
+        """Fraction of examined candidates whose cosine was computed."""
         if self.candidate_count == 0:
             return 1.0
         return self.scored_count / self.candidate_count
@@ -324,6 +326,13 @@ class DuplicateSeeder:
         pairs.sort(key=lambda pair: (-pair.similarity, pair.left_index, pair.right_index))
         return pairs
 
+    def _floor(self, heap: List[Tuple[float, int, int]]) -> float:
+        """The similarity a new seed must reach: ``min_similarity`` until the
+        top-k is full, then also the worst entry's similarity."""
+        if len(heap) < self.max_seeds:
+            return self.min_similarity
+        return max(self.min_similarity, heap[0][0])
+
     def _score_pruned(
         self,
         left_position: int,
@@ -336,14 +345,20 @@ class DuplicateSeeder:
     ) -> None:
         """Score one left tuple's candidates under max-weight upper bounds.
 
-        For every candidate ``r`` sharing at least one term with the left
-        vector, accumulate ``bound(r) = Σ_t L[t] · max_weight[t]`` over the
-        left vector's terms whose postings contain ``r``.  Both vectors are
-        L2-normalised, so ``cos(L, R) = Σ_{t ∈ L∩R} L[t]·R[t] ≤ bound(r)``.
-        Candidates are then scored best-bound-first — the heap floor rises
-        as early as possible — and once a bound falls strictly below the
-        floor, every remaining candidate is provably outside the top-k and
-        below ``min_similarity``, so the scan stops.
+        Each shared term ``t`` contributes at most ``L[t] · max_weight[t]``
+        to a cosine: both vectors are L2-normalised, so ``cos(L, R) =
+        Σ_{t ∈ L∩R} L[t]·R[t] ≤ bound(R) = Σ_{t ∈ L∩R} L[t]·max_weight[t]``.
+
+        MaxScore (Turtle & Flood, 1995) splits the terms: the longest run of
+        the cheapest ones whose contributions sum below the floor cannot
+        lift a candidate to it on their own, so only the other, *essential*
+        terms propose candidates.  The cheap terms' contributions are then
+        added to those candidates by membership tests on their postings.
+        The candidates whose bound clears the floor are scored
+        best-bound-first — the heap floor rises as early as possible — and
+        once a bound falls strictly below the floor, every remaining
+        candidate is provably outside the top-k and below
+        ``min_similarity``, so the scan stops.
 
         Strict ``<`` against the floor is load-bearing twice: a candidate
         whose similarity *equals* the heap root's can still enter on the
@@ -353,24 +368,38 @@ class DuplicateSeeder:
         the total order ``(similarity, -left, -right)`` is independent of
         processing order.
         """
+        floor = self._floor(heap)
+        contributions = sorted(
+            (
+                (weight * max_weight[term], term)
+                for term, weight in left_vector.items()
+                if term in max_weight
+            ),
+            key=itemgetter(0),
+        )
+        cheap_terms = 0
+        cheap_sum = 0.0
+        for contribution, _ in contributions:
+            if (cheap_sum + contribution) * (1.0 + _BOUND_SLACK) >= floor:
+                break
+            cheap_sum += contribution
+            cheap_terms += 1
         bounds: Dict[int, float] = {}
-        for term, weight in left_vector.items():
-            term_max = max_weight.get(term)
-            if term_max is None:
-                continue
-            contribution = weight * term_max
+        for contribution, term in contributions[cheap_terms:]:
             for right_position in postings[term]:
                 bounds[right_position] = bounds.get(right_position, 0.0) + contribution
+        for contribution, term in contributions[:cheap_terms]:
+            posting = postings[term]
+            for right_position in bounds:
+                if right_position in posting:
+                    bounds[right_position] += contribution
         scoring.candidate_count += len(bounds)
-        for right_position, bound in sorted(
-            bounds.items(), key=lambda item: (-item[1], item[0])
-        ):
-            floor = (
-                self.min_similarity
-                if len(heap) < self.max_seeds
-                else max(self.min_similarity, heap[0][0])
-            )
-            if bound * (1.0 + _BOUND_SLACK) < floor:
+        candidates = sorted(
+            (item for item in bounds.items() if item[1] * (1.0 + _BOUND_SLACK) >= floor),
+            key=lambda item: (-item[1], item[0]),
+        )
+        for right_position, bound in candidates:
+            if bound * (1.0 + _BOUND_SLACK) < self._floor(heap):
                 # Bounds are descending and the floor only rises: every
                 # remaining candidate is below it too.
                 break

@@ -2,12 +2,15 @@
 
 import pytest
 
-from repro.core.conflicts import ConflictKind, find_conflicts
+from repro.core.conflicts import Conflict, ConflictKind, classify_values, find_conflicts
 from repro.core.fusion import FusionOperator, FusionSpec, ResolutionSpec, fuse
 from repro.core.lineage import trace_cell_lineage
-from repro.core.resolution import Choose
+from repro.core.resolution import Choose, Coalesce, ResolutionContext
+from repro.engine.io.csv_source import CsvSource
+from repro.engine.operators.groupby import group_rows
 from repro.engine.relation import Relation
 from repro.exceptions import FusionError
+from repro.hummer import HumMer
 
 
 @pytest.fixture
@@ -167,6 +170,40 @@ class TestConflictReport:
         assert report.conflicts[0].sources == [None, None]
 
 
+class TestOneValueKey:
+    """Conflict detection, resolution and grouping agree on equal values."""
+
+    def test_integer_and_float_of_one_price_do_not_contradict(self, tmp_path):
+        titles = (
+            "Abbey Road,The Beatles,{}\n"
+            "Blue Train,John Coltrane,12\n"
+            "Kind of Blue,Miles Davis,9\n"
+        )
+        hummer = HumMer()
+        for alias, price in (("a", "10"), ("b", "10.0")):
+            path = tmp_path / f"{alias}.csv"
+            path.write_text("title,artist,price\n" + titles.format(price), encoding="utf-8")
+            hummer.register(alias, CsvSource(path, name=alias))
+        result = hummer.fuse(["a", "b"])
+        assert len(result.relation) == 3  # each CD is one object of two tuples
+        assert result.conflicts.contradiction_count == 0
+        assert result.fusion.resolved_conflict_count == 0
+
+    def test_classification_matches_resolution(self):
+        assert classify_values([10, 10.0]) is ConflictKind.NONE
+        assert classify_values([True, 1]) is ConflictKind.CONTRADICTION
+        context = ResolutionContext(column="price", values=[10, 10.0, True])
+        assert context.distinct_values == [10, True]
+        conflict = Conflict(0, "price", ConflictKind.CONTRADICTION, [10, 10.0, True])
+        assert conflict.distinct_values == context.distinct_values
+
+    def test_grouping_uses_the_same_key(self):
+        relation = Relation.from_dicts(
+            [{"k": 10, "v": "a"}, {"k": 10.0, "v": "b"}, {"k": True, "v": "c"}], name="r"
+        )
+        assert [len(rows) for _, rows in group_rows(relation, ["k"])] == [2, 1]
+
+
 class TestLazyGroupMaterialisation:
     """Row wrappers and source strings are built per group, only on demand."""
 
@@ -259,8 +296,22 @@ class TestStreamingFusion:
                 instances.append(1)
                 super().__init__(*args, **kwargs)
 
+        class UndeclaredCoalesce(Coalesce):
+            """Coalesce without the single-value declaration: one-tuple
+            groups build a context per column too, so every group counts."""
+
+            keeps_single_value = False
+
         monkeypatch.setattr(fusion_module, "ResolutionContext", CountingContext)
-        operator = FusionOperator(FusionSpec(key_columns=["objectID"]))
+        operator = FusionOperator(
+            FusionSpec(
+                key_columns=["objectID"],
+                resolutions=[
+                    ResolutionSpec(column, UndeclaredCoalesce())
+                    for column in ("name", "age", "city")
+                ],
+            )
+        )
         stream = operator.fuse_stream(clustered)
         assert instances == []  # planning resolves nothing
 

@@ -43,7 +43,7 @@ SCHEMA_MATCHING = {
     "correspondences": 4,
     "seeds_scored": 6,
     "field_matrices": 3,
-    "seed_candidates": 30,
+    "seed_candidates": 3,
     "seed_cosines": 3,
 }
 DETECTED = {

@@ -15,6 +15,7 @@ from repro.engine.types import (
     infer_column_type,
     infer_type,
     is_null,
+    value_key,
     values_equal,
 )
 from repro.exceptions import TypeCoercionError
@@ -169,6 +170,21 @@ class TestValuesEqual:
     def test_string_equality(self):
         assert values_equal("a", "a")
         assert not values_equal("a", "A")
+
+
+class TestValueKey:
+    def test_numerics_key_by_value(self):
+        assert value_key(10) == value_key(10.0)
+        assert value_key(-0.0) == value_key(0)
+
+    def test_booleans_and_text_are_not_numbers(self):
+        assert value_key(True) != value_key(1)
+        assert value_key("10") != value_key(10)
+
+    def test_other_values_key_by_type_and_text(self):
+        day = datetime.date(2005, 8, 30)
+        assert value_key(day) == value_key(datetime.date(2005, 8, 30))
+        assert value_key(day) != value_key("2005-08-30")
 
 
 class TestCompareValues:
