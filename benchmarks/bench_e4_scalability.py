@@ -8,10 +8,10 @@ in the number of tuples (pairwise comparisons) under the all-pairs baseline,
 schema matching grows mildly (seeding is capped), fusion is linear in the
 number of tuples.  The blocking series shows `snm` and `token` proposing a
 shrinking fraction of the quadratic pair count while reproducing the exact
-accepted duplicate-pair set at the parity checkpoint.  The parallel-scoring
-series shows the multiprocess executor reproducing the serial run bit for
-bit while reporting the wall-clock speedup (informational — CI runners may
-be single-core).
+accepted duplicate-pair set at the parity checkpoint.  The columnar-scoring
+series times the batched ``ColumnarPairScorer`` that pair scoring runs
+against the per-pair reference loop: bit-identical scores, a 2× floor at 5k
+entities.
 """
 
 import json
@@ -24,13 +24,7 @@ from repro.datagen.scenarios import cd_stores_scenario, students_scenario
 from repro.dedup.blocking import AdaptiveBlocking
 from repro.dedup.descriptions import select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
-from repro.dedup.executor import (
-    MultiprocessExecutor,
-    ScoringBatch,
-    SerialExecutor,
-    score_batch,
-)
-from repro.dedup.pairs import CandidatePairGenerator
+from repro.dedup.pairs import CandidatePairGenerator, PairScore
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
 from repro.engine.catalog import Catalog
 from repro.matching.dumas import DumasMatcher
@@ -45,10 +39,6 @@ SOURCE_COUNTS = [2, 3, 4]
 #: quadratic enumeration is already painful.
 BLOCKING_ENTITY_COUNTS = [40, 80, 120, 250, 500]
 PARITY_CHECKPOINT = 120  # largest size where all-pairs is still cheap enough
-
-#: Default sizes for the serial-vs-parallel scoring series (override with
-#: ``--e4-entities`` for the CI smoke run).
-PARALLEL_ENTITY_COUNTS = [80, 160, 320]
 
 
 def run_students(entities):
@@ -217,7 +207,7 @@ def test_e4_adaptive_blocking(benchmark):
       end at the parity size, by plan inspection at the second size.
     * ≥1000 entities: the plan escalates past all-pairs and the proposed
       candidates stay at or below 30% of all pairs (candidate enumeration
-      only — scoring that many pairs is the parallel executor's benchmark).
+      only — scoring that many pairs is the columnar series' job).
     """
     rows = []
 
@@ -298,104 +288,6 @@ def test_e4_adaptive_blocking(benchmark):
     )
 
 
-def test_e4_parallel_scoring(benchmark, request):
-    """Serial vs. multiprocess scoring: identical results, reported speedup.
-
-    Acceptance bar for the executor subsystem: with 2+ workers the
-    multiprocess executor must reproduce the serial accepted duplicate-pair
-    set, cluster assignment and filter statistics exactly at every size.
-    Speedup is reported but not asserted — CI runners may expose one core.
-    """
-    workers = request.config.getoption("--workers")
-    entities_option = request.config.getoption("--e4-entities")
-    json_path = request.config.getoption("--e4-json")
-    sizes = (
-        [int(value) for value in entities_option.split(",") if value.strip()]
-        if entities_option
-        else PARALLEL_ENTITY_COUNTS
-    )
-
-    rows = []
-    records = []
-    for entities in sizes:
-        combined = prepare_students(entities)
-
-        started = time.perf_counter()
-        serial = DuplicateDetector(
-            blocking="token", executor=SerialExecutor()
-        ).detect(combined)
-        serial_s = time.perf_counter() - started
-
-        # min_parallel_pairs=0 forces the pool even at smoke sizes, so the
-        # parallel code path is genuinely exercised on every CI run.
-        started = time.perf_counter()
-        parallel = DuplicateDetector(
-            blocking="token",
-            executor=MultiprocessExecutor(workers=workers, min_parallel_pairs=0),
-        ).detect(combined)
-        parallel_s = time.perf_counter() - started
-
-        assert set(parallel.duplicate_pairs) == set(serial.duplicate_pairs)
-        assert parallel.cluster_assignment == serial.cluster_assignment
-        assert [
-            (score.left_index, score.right_index, score.similarity)
-            for score in parallel.scores
-        ] == [
-            (score.left_index, score.right_index, score.similarity)
-            for score in serial.scores
-        ]
-        assert (
-            parallel.filter_statistics.as_dict() == serial.filter_statistics.as_dict()
-        )
-
-        speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-        rows.append(
-            (
-                entities,
-                len(combined),
-                serial.filter_statistics.compared,
-                len(serial.duplicate_pairs),
-                serial_s,
-                parallel_s,
-                speedup,
-            )
-        )
-        records.append(
-            {
-                "entities": entities,
-                "tuples": len(combined),
-                "workers": workers,
-                "compared_pairs": serial.filter_statistics.compared,
-                "accepted_pairs": len(serial.duplicate_pairs),
-                "serial_seconds": serial_s,
-                "parallel_seconds": parallel_s,
-                "speedup": speedup,
-            }
-        )
-    print_table(
-        f"E4d: serial vs parallel scoring ({workers} workers, students, token blocking)",
-        ["entities", "tuples", "compared", "accepted", "serial s", "parallel s", "speedup"],
-        rows,
-    )
-
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(
-                {"benchmark": "e4_parallel_scoring", "workers": workers, "rows": records},
-                handle,
-                indent=2,
-            )
-
-    benchmark.pedantic(
-        lambda: DuplicateDetector(
-            blocking="token",
-            executor=MultiprocessExecutor(workers=workers, min_parallel_pairs=0),
-        ).detect(prepare_students(sizes[0])),
-        rounds=1,
-        iterations=1,
-    )
-
-
 #: Sizes for the per-pair vs batched columnar scoring series (override with
 #: ``--e4-columnar-entities`` for the CI smoke run).
 COLUMNAR_ENTITY_COUNTS = [1000, 5000, 10000]
@@ -408,11 +300,32 @@ COLUMNAR_SPEEDUP_FLOOR = 2.0
 COLUMNAR_THRESHOLD = 0.65
 
 
+def score_columnar(measure, relation, pairs):
+    """Filter and score pre-enumerated *pairs* with the measure's
+    ``ColumnarPairScorer``, as ``SerialExecutor.score_pairs`` does.
+
+    Returns ``(scores, considered, pruned)``.
+    """
+    attributes = measure.fitted_attributes
+    scorer = measure.columnar_scorer(
+        {attribute: relation.column(attribute) for attribute in attributes},
+        {attribute: relation.null_mask(attribute) for attribute in attributes},
+    )
+    survivors = [
+        pair for pair in pairs if scorer.upper_bound(*pair) >= COLUMNAR_THRESHOLD
+    ]
+    scores = [
+        PairScore(i, j, similarity)
+        for (i, j), similarity in zip(survivors, scorer.similarities(survivors))
+    ]
+    return scores, len(pairs), len(pairs) - len(survivors)
+
+
 def test_e4_columnar_scoring(benchmark, request):
     """Per-pair vs batched columnar dedup scoring: identical bits, speedup.
 
     Acceptance bar for the columnar engine (ISSUE 9): the batched kernels
-    (``ColumnarPairScorer`` via ``score_batch``) reproduce the per-pair
+    (``ColumnarPairScorer``, as pair scoring runs it) reproduce the per-pair
     reference loop — row tuples, one ``upper_bound`` + ``compare_rows`` call
     per candidate — **bit for bit** (same scores, same pruning counts), and
     run at least 2× faster at 5k entities.  The speedup comes from memoised
@@ -452,19 +365,18 @@ def test_e4_columnar_scoring(benchmark, request):
             )
         perpair_s = time.perf_counter() - started
 
-        # -- batched columnar kernels (what the executors now run) --------------
+        # -- batched columnar kernels (what pair scoring runs) ------------------
         started = time.perf_counter()
-        batch = ScoringBatch.from_generator(generator, combined)
-        result = score_batch(batch, pairs)
+        scores, considered, pruned = score_columnar(measure, combined, pairs)
         batched_s = time.perf_counter() - started
 
         # bit-identical parity: same floats, same pruning decisions
         assert [
             (score.left_index, score.right_index, score.similarity)
-            for score in result.scores
+            for score in scores
         ] == reference
-        assert result.pruned == reference_pruned
-        assert result.considered == len(pairs)
+        assert pruned == reference_pruned
+        assert considered == len(pairs)
 
         speedup = perpair_s / batched_s if batched_s > 0 else float("inf")
         if entities >= COLUMNAR_SPEEDUP_ENTITIES:
@@ -508,16 +420,13 @@ def test_e4_columnar_scoring(benchmark, request):
             )
 
     smoke = prepare_students(sizes[0] if sizes[0] <= 500 else 120)
+    smoke_measure = DuplicateSimilarityMeasure(select_interesting_attributes(smoke)).fit(smoke)
     smoke_generator = CandidatePairGenerator(
-        DuplicateSimilarityMeasure(select_interesting_attributes(smoke)).fit(smoke),
-        filter_threshold=COLUMNAR_THRESHOLD,
-        blocking="token",
+        smoke_measure, filter_threshold=COLUMNAR_THRESHOLD, blocking="token"
     )
     smoke_pairs = list(smoke_generator.candidate_indices(smoke))
     benchmark.pedantic(
-        lambda: score_batch(
-            ScoringBatch.from_generator(smoke_generator, smoke), smoke_pairs
-        ),
+        lambda: score_columnar(smoke_measure, smoke, smoke_pairs),
         rounds=1,
         iterations=1,
     )

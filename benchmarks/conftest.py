@@ -15,33 +15,12 @@ def pytest_addoption(parser):
     """Benchmark knobs, used by the CI smoke job (see .github/workflows/ci.yml)."""
     group = parser.getgroup("hummer-benchmarks")
     group.addoption(
-        "--workers",
-        action="store",
-        type=int,
-        default=2,
-        help="worker processes for the E4 parallel-scoring series",
-    )
-    group.addoption(
-        "--e4-entities",
-        action="store",
-        default=None,
-        help="comma-separated entity counts for the E4 parallel-scoring "
-        "series (overrides the built-in sizes, e.g. 40,80 for a CI smoke run)",
-    )
-    group.addoption(
         "--e2-cluster-json",
         action="store",
         default=None,
         help="write the E2 clustering-strategy quality series (precision / "
         "recall per strategy on clean vs chained data) to this JSON file "
         "(uploaded as a CI artifact)",
-    )
-    group.addoption(
-        "--e4-json",
-        action="store",
-        default=None,
-        help="write the E4 parallel-scoring timings to this JSON file "
-        "(uploaded as a CI artifact so the timing trajectory accumulates)",
     )
     group.addoption(
         "--e4-warm-json",

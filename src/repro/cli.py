@@ -14,7 +14,7 @@ Four sub-commands mirror the demo's workflow:
 
 Every sub-command accepts ``--config fusion.json`` — a JSON document in the
 shape of :meth:`repro.config.FusionConfig.to_dict` — and the individual
-flags (``--blocking``, ``--workers``, ``--prepare``, …) are mapped over it
+flags (``--blocking``, ``--clustering``, ``--prepare``, …) are mapped over it
 through :meth:`FusionConfig.from_cli_args`, so a config file and ad-hoc
 flags compose: flags the user sets win, everything else comes from the file.
 """
@@ -120,23 +120,6 @@ def _add_prepare_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for candidate-pair scoring (1 or omitted = "
-        "serial; N>1 = multiprocess with N workers)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="candidate pairs per scoring batch (only with --workers N>1; "
-        "default splits the candidates into ~4 batches per worker)",
-    )
-
-
 def _build_config(args, default_threshold: Optional[float] = None) -> FusionConfig:
     """The effective :class:`FusionConfig`: file (if any), then flags on top."""
     config_path = getattr(args, "config", None)
@@ -212,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_argument(fuse)
     _add_blocking_arguments(fuse)
     _add_clustering_arguments(fuse)
-    _add_executor_arguments(fuse)
     _add_prepare_arguments(fuse)
 
     demo = subparsers.add_parser("demo", help="run a built-in scenario on generated data")
@@ -226,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_argument(demo)
     _add_blocking_arguments(demo)
     _add_clustering_arguments(demo)
-    _add_executor_arguments(demo)
     _add_prepare_arguments(demo)
 
     serve = subparsers.add_parser(
@@ -357,8 +338,7 @@ def _command_demo(args) -> int:
         f"blocking ({config.dedup.blocking or 'allpairs'}): "
         f"{statistics.blocking_candidates} of "
         f"{statistics.total_pairs} possible pairs proposed, "
-        f"{statistics.compared} compared in full "
-        f"(scoring: {hummer.detector.executor.name})"
+        f"{statistics.compared} compared in full"
     )
     _print_prepare_report(result)
     _print_blocking_plan(statistics)

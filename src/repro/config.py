@@ -2,15 +2,15 @@
 
 Before this module, every fusion knob travelled as a keyword argument copied
 by hand through four layers (``HumMer`` → ``FusionPipeline`` →
-``DuplicateDetector`` → CLI), and each new subsystem (blocking, executors,
+``DuplicateDetector`` → CLI), and each new subsystem (blocking, clustering,
 adaptive planning, prepared artifacts) widened that surface with another
 mutual-exclusion rule.  :class:`FusionConfig` replaces the threading with a
 single typed tree:
 
 * :class:`MatchingConfig` — DUMAS seeding / correspondence knobs and the
   name-based fallback;
-* :class:`DedupConfig` — threshold, uncertainty band, blocking spec,
-  clustering spec, executor spec, workers / chunking;
+* :class:`DedupConfig` — threshold, uncertainty band, blocking spec and
+  clustering spec;
 * :class:`PrepareConfig` — per-source artifact mode and persistence
   directory;
 * :class:`ResolutionConfig` — default per-column resolution functions and
@@ -21,9 +21,9 @@ scattered ``ValueError``\\ s of the pre-config layers now surface as one
 :class:`~repro.exceptions.ConfigError` with the same messages), and the tree
 round-trips losslessly: ``FusionConfig.from_dict(cfg.to_dict()) == cfg``.
 
-Serialisable specs only: blocking and executor are stored as *names* (the
-CLI spellings — ``"snm"``, ``"union:snm+token"``, ``"multiprocess"`` …) plus
-option mappings.  Already-constructed strategy/executor *instances* remain
+Serialisable specs only: blocking and clustering are stored as *names* (the
+CLI spellings — ``"snm"``, ``"union:snm+token"``, ``"graph"`` …) plus
+option mappings.  Already-constructed strategy *instances* remain
 the job of the object-injection parameters (``matcher=``, ``detector=``)
 that the facade keeps for advanced use.
 
@@ -40,10 +40,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from repro.dedup.blocking import resolve_blocking
 from repro.dedup.detector import DuplicateDetector
 from repro.dedup.graphcluster import resolve_clustering
-from repro.dedup.executor import (
-    executor_for_workers,
-    resolve_executor,
-)
 from repro.exceptions import ConfigError
 from repro.matching.dumas import DumasMatcher
 
@@ -175,7 +171,7 @@ class MatchingConfig(_Section):
 
 @dataclass(frozen=True)
 class DedupConfig(_Section):
-    """Duplicate-detection knobs: classification, blocking and scoring.
+    """Duplicate-detection knobs: classification, blocking and clustering.
 
     Attributes:
         threshold: pairs at or above this similarity are duplicates.
@@ -195,11 +191,6 @@ class DedupConfig(_Section):
         clustering_options: constructor options for the named clustering
             strategy (``min_cohesion=`` / ``weak_cut_ratio=`` for graph,
             ``weak_edge_ratio=`` / ``max_component_size=`` for biclique).
-        executor: scoring-executor *name* (``"serial"``, ``"multiprocess"``)
-            or ``None`` to derive it from *workers*.
-        workers: worker processes for pair scoring (``None``/1 = serial,
-            N>1 = multiprocess with N workers).  Only without *executor*.
-        chunk_size: candidate pairs per scoring batch (needs workers > 1).
     """
 
     threshold: float = 0.7
@@ -212,9 +203,6 @@ class DedupConfig(_Section):
     blocking_options: Mapping[str, Any] = field(default_factory=dict)
     clustering: Optional[str] = None
     clustering_options: Mapping[str, Any] = field(default_factory=dict)
-    executor: Optional[str] = None
-    workers: Optional[int] = None
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocking_options", _freeze(self.blocking_options))
@@ -229,11 +217,6 @@ class DedupConfig(_Section):
             "DuplicateDetector(blocking=...) object injection instead)",
         )
         _require(
-            self.executor is None or isinstance(self.executor, str),
-            "executor must be an executor name (pass instances via "
-            "DuplicateDetector(executor=...) object injection instead)",
-        )
-        _require(
             not (self.blocking_options and self.blocking is None),
             "blocking_options need a named blocking strategy",
         )
@@ -246,30 +229,11 @@ class DedupConfig(_Section):
             not (self.clustering_options and self.clustering is None),
             "clustering_options need a named clustering strategy",
         )
-        _require(
-            self.workers is None or self.workers >= 1,
-            "workers must be at least 1",
-        )
-        _require(
-            self.executor is None or self.workers is None,
-            "workers cannot be combined with an explicit executor name; "
-            "configure one or the other",
-        )
-        _require(
-            self.chunk_size is None
-            or (self.workers is not None and self.workers > 1),
-            "chunk_size only applies with workers greater than 1",
-        )
-        _require(
-            self.chunk_size is None or self.chunk_size >= 1,
-            "chunk_size must be at least 1 when given",
-        )
-        # Build (and discard) the strategy and executor once: every name /
+        # Build (and discard) both strategies once: every name /
         # option mistake surfaces here, at construction, not mid-pipeline.
         try:
             self.build_blocking()
             self.build_clustering()
-            self.build_executor()
         except (ValueError, TypeError) as error:
             raise ConfigError(str(error)) from None
 
@@ -281,18 +245,12 @@ class DedupConfig(_Section):
         """The configured :class:`~repro.dedup.graphcluster.ClusteringStrategy`."""
         return resolve_clustering(self.clustering, **dict(self.clustering_options))
 
-    def build_executor(self):
-        """The configured :class:`~repro.dedup.executor.ScoringExecutor`."""
-        if self.executor is not None:
-            return resolve_executor(self.executor)
-        return executor_for_workers(self.workers, chunk_size=self.chunk_size)
-
     def build_detector(
-        self, selection=None, blocking=None, clustering=None, executor=None
+        self, selection=None, blocking=None, clustering=None
     ) -> DuplicateDetector:
         """The configured :class:`DuplicateDetector`.
 
-        *blocking* / *clustering* / *executor* accept already-constructed
+        *blocking* / *clustering* accept already-constructed
         instances (object injection for callers that build their own
         strategies); they win over the config names.
         """
@@ -308,7 +266,6 @@ class DedupConfig(_Section):
             clustering=(
                 clustering if clustering is not None else self.build_clustering()
             ),
-            executor=executor if executor is not None else self.build_executor(),
         )
 
 
@@ -574,24 +531,6 @@ class FusionConfig:
             if clustering != config.dedup.clustering:
                 # a strategy change invalidates the base's options wholesale
                 dedup["clustering_options"] = {}
-
-        workers = getattr(args, "workers", None)
-        chunk_size = getattr(args, "chunk_size", None)
-        effective_workers = workers if workers is not None else config.dedup.workers
-        _require(
-            chunk_size is None
-            or (effective_workers is not None and effective_workers > 1),
-            "--chunk-size only applies with --workers greater than 1",
-        )
-        if workers is not None:
-            dedup["workers"] = workers
-            # a flag-set worker count replaces any config-file executor name,
-            # and going serial invalidates a config-file chunk size
-            dedup["executor"] = None
-            if workers <= 1:
-                dedup["chunk_size"] = None
-        if chunk_size is not None:
-            dedup["chunk_size"] = chunk_size
 
         artifact_dir = getattr(args, "artifact_dir", None)
         if getattr(args, "prepare", False) or artifact_dir is not None:

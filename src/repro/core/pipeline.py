@@ -255,19 +255,10 @@ def _duplicate_detection(session: "FusionSession"):
     """
     if session.skip_detection:
         return None, {"skipped": True}
-    counters: Dict[str, int] = {"pairs_scored": 0, "score_batches": 0}
-
-    # The executor reports cumulative pairs per completed batch (one batch
-    # for the serial path, one per merged chunk for the pool).
-    def forward(phase: str, done: int, total: int) -> None:
-        counters["score_batches"] += 1
-        counters["pairs_scored"] = done
-        session._emit_progress(phase, done, total)
-
     session.detection = session.pipeline.detector.detect(
         session.transformed,
         selection=session.selection,
-        progress_callback=forward,
+        progress_callback=session._emit_progress,
         prepared=session.prepared_view,
     )
     detection = session.detection
@@ -277,8 +268,7 @@ def _duplicate_detection(session: "FusionSession"):
         "counts": dict(detection.classified.counts),
         "candidate_pairs": statistics.blocking_candidates,
         "compared_pairs": statistics.compared,
-        "pairs_scored": counters["pairs_scored"],
-        "score_batches": counters["score_batches"],
+        "pairs_scored": statistics.considered,
     }
     if statistics.blocking_plan is not None:
         payload["blocking_plan"] = statistics.blocking_plan

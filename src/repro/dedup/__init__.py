@@ -12,9 +12,7 @@ by schema matching:
    candidate tuple pairs (all pairs, sorted-neighborhood windows or a token
    inverted index) which are then pruned with a cheap upper bound on the
    similarity measure, so only promising pairs are compared in full.
-   :mod:`repro.dedup.executor` makes *where* the surviving pairs are scored
-   pluggable too: in-process (serial) or across a process pool
-   (multiprocess), with identical results either way.
+   :mod:`repro.dedup.executor` scores the surviving pairs in-process.
 3. :mod:`repro.dedup.similarity_measure` — the full measure accounts for
    matched vs. unmatched attributes, data similarity (edit / numeric
    distance), the identifying power of a value (soft IDF) and treats
@@ -41,13 +39,7 @@ from repro.dedup.blocking import (
     resolve_blocking,
 )
 from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
-from repro.dedup.executor import (
-    MultiprocessExecutor,
-    ScoringExecutor,
-    SerialExecutor,
-    executor_for_workers,
-    resolve_executor,
-)
+from repro.dedup.executor import SerialExecutor
 from repro.dedup.enrichment import RelationshipSpec, enrich_with_children
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure, PairEvidence
 from repro.dedup.filters import UpperBoundFilter, FilterStatistics
@@ -75,11 +67,7 @@ __all__ = [
     "BlockingPlan",
     "profile_relation",
     "resolve_blocking",
-    "ScoringExecutor",
     "SerialExecutor",
-    "MultiprocessExecutor",
-    "resolve_executor",
-    "executor_for_workers",
     "AttributeSelection",
     "select_interesting_attributes",
     "RelationshipSpec",

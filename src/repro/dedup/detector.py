@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.dedup.blocking import BlockingSpec, resolve_blocking
 from repro.dedup.classification import ClassifiedPairs, classify_pairs
-from repro.dedup.executor import ExecutorSpec, resolve_executor
 from repro.dedup.graphcluster import (
     ClusteringReport,
     ClusteringSpec,
@@ -53,6 +52,8 @@ class DuplicateDetectionResult:
             rule, upper-bound filter) pruned.
         clustering_report: what the clustering strategy did to the accepted
             pair graph (``None`` only for results built by legacy callers).
+        accept_unsure: whether undecided unsure pairs counted as duplicates
+            when this result was clustered.
     """
 
     relation: Relation
@@ -62,6 +63,7 @@ class DuplicateDetectionResult:
     selection: AttributeSelection
     filter_statistics: FilterStatistics
     clustering_report: Optional[ClusteringReport] = None
+    accept_unsure: bool = True
 
     @property
     def cluster_count(self) -> int:
@@ -70,8 +72,10 @@ class DuplicateDetectionResult:
 
     @property
     def duplicate_pairs(self) -> List[Tuple[int, int]]:
-        """Accepted duplicate index pairs (after default handling of unsure pairs)."""
-        return self.classified.accepted_pairs(accept_unsure_by_default=True)
+        """The accepted duplicate index pairs that were clustered: sure
+        duplicates plus unsure pairs accepted by a decision or, undecided,
+        by the :attr:`accept_unsure` rule."""
+        return self.classified.accepted_pairs(accept_unsure_by_default=self.accept_unsure)
 
     def clusters(self) -> Dict[int, List[int]]:
         """objectID → list of row indices."""
@@ -106,10 +110,6 @@ class DuplicateDetector:
             :class:`~repro.dedup.graphcluster.ClusteringStrategy` instance, a
             name (``"transitive"``, ``"graph"``, ``"biclique"``) or ``None``
             for the paper's transitive-closure baseline.
-        executor: pair-scoring executor — a
-            :class:`~repro.dedup.executor.ScoringExecutor` instance, a name
-            (``"serial"``, ``"multiprocess"``) or ``None`` for the in-process
-            serial baseline.
     """
 
     def __init__(
@@ -123,7 +123,6 @@ class DuplicateDetector:
         keep_evidence: bool = False,
         blocking: BlockingSpec = None,
         clustering: ClusteringSpec = None,
-        executor: ExecutorSpec = None,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
@@ -136,7 +135,6 @@ class DuplicateDetector:
         self.keep_evidence = keep_evidence
         self.blocking = resolve_blocking(blocking)
         self.clustering = resolve_clustering(clustering)
-        self.executor = resolve_executor(executor)
 
     def detect(
         self,
@@ -150,10 +148,9 @@ class DuplicateDetector:
         *selection* (the wizard's adjusted step-3 selection) wins over the
         detector's own; without either, the heuristics of
         :func:`select_interesting_attributes` run on *relation*.
-        *progress_callback* is handed to the scoring executor, which invokes
-        it as batches complete — ``("pairs_scored", cumulative_pairs,
-        total_candidates)``.  *prepared* (a prepared run's view) is handed
-        to the blocking strategy.
+        *progress_callback* fires once when pair scoring completes —
+        ``("pairs_scored", candidates, candidates)``.  *prepared* (a
+        prepared run's view) is handed to the blocking strategy.
         """
         selection = selection or self.selection or select_interesting_attributes(relation)
         measure = DuplicateSimilarityMeasure(selection).fit(relation)
@@ -164,7 +161,6 @@ class DuplicateDetector:
             cross_source_only=self.cross_source_only,
             keep_evidence=self.keep_evidence,
             blocking=self.blocking,
-            executor=self.executor,
             progress_callback=progress_callback,
             prepared=prepared,
         )
@@ -214,4 +210,5 @@ class DuplicateDetector:
             selection=selection,
             filter_statistics=statistics,
             clustering_report=clustering.report,
+            accept_unsure=self.accept_unsure,
         )

@@ -5,10 +5,7 @@ tuple pairs to look at (all pairs by default, sorted-neighborhood or token
 blocking for near-linear scaling), the cross-source rule drops pairs whose
 tuples share a source (when duplicates within one source are impossible by
 assumption), the upper-bound filter prunes hopeless pairs and the survivors
-are scored with the full measure.  A pluggable
-:class:`~repro.dedup.executor.ScoringExecutor` decides *where* the filter and
-the full measure run — in-process (serial baseline) or fanned out over a
-process pool.
+are scored with the full measure, in-process (:mod:`repro.dedup.executor`).
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 from repro.dedup.blocking import BlockingSpec, BlockingStrategy, resolve_blocking
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.dedup.executor import ExecutorSpec
     from repro.prepare.preparer import PreparedQueryView
 from repro.dedup.filters import UpperBoundFilter
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure, PairEvidence
@@ -58,14 +54,10 @@ class CandidatePairGenerator:
         blocking: a :class:`BlockingStrategy`, a strategy name
             (``"allpairs"``, ``"snm"``, ``"token"``, ``"union:snm+token"``,
             ``"adaptive"``) or ``None`` for the exact all-pairs baseline.
-        executor: a :class:`~repro.dedup.executor.ScoringExecutor`, an
-            executor name (``"serial"``, ``"multiprocess"``) or ``None`` for
-            the in-process serial baseline.
-        progress_callback: optional ``(phase, done, total)`` callable the
-            executor invokes as scoring batches complete
-            (``("pairs_scored", cumulative_pairs, total_candidates)``) — the
-            dedup counterpart of the matcher's and fusion operator's
-            intra-step progress streams.
+        progress_callback: optional ``(phase, done, total)`` callable, fired
+            once when scoring completes (``("pairs_scored", candidates,
+            candidates)``) — the dedup counterpart of the matcher's and
+            fusion operator's intra-step progress streams.
         prepared: a prepared run's view, handed to the blocking strategy.
     """
 
@@ -78,20 +70,15 @@ class CandidatePairGenerator:
         source_column: str = "sourceID",
         keep_evidence: bool = False,
         blocking: BlockingSpec = None,
-        executor: "ExecutorSpec" = None,
         progress_callback: Optional[Callable[[str, int, int], None]] = None,
         prepared: Optional["PreparedQueryView"] = None,
     ):
-        # imported here because the executor package imports PairScore
-        from repro.dedup.executor import resolve_executor
-
         self.measure = measure
         self.filter = UpperBoundFilter(measure, filter_threshold, enabled=use_filter)
         self.cross_source_only = cross_source_only
         self.source_column = source_column
         self.keep_evidence = keep_evidence
         self.blocking: BlockingStrategy = resolve_blocking(blocking)
-        self.executor = resolve_executor(executor)
         self.progress_callback = progress_callback
         self.prepared = prepared
 
@@ -144,10 +131,8 @@ class CandidatePairGenerator:
             yield (i, j)
 
     def score_pairs(self, relation: Relation) -> List[PairScore]:
-        """Filter and score every candidate pair of *relation*.
+        """Filter and score every candidate pair of *relation*, in candidate order."""
+        # imported here because the executor module imports PairScore
+        from repro.dedup.executor import SerialExecutor
 
-        Delegates to the configured executor; the serial baseline streams
-        pairs through the shared filter in-process, the multiprocess executor
-        fans batches out and merges scores and statistics deterministically.
-        """
-        return self.executor.score_pairs(self, relation)
+        return SerialExecutor().score_pairs(self, relation)

@@ -98,20 +98,6 @@ class DuplicateSimilarityMeasure:
         self._positions: Dict[str, int] = {}
         self._trigram_cache: Dict[int, frozenset] = {}
 
-    # -- pickling ----------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Picklable snapshot for parallel scoring workers.
-
-        The trigram cache is keyed by row-tuple hashes and can grow to one
-        entry per row; shipping it to workers would multiply the snapshot
-        size for no benefit (workers rebuild it lazily for exactly the rows
-        they touch), so it is dropped here.
-        """
-        state = self.__dict__.copy()
-        state["_trigram_cache"] = {}
-        return state
-
     # -- fitting -----------------------------------------------------------------
 
     def fit(self, relation: Relation) -> "DuplicateSimilarityMeasure":
@@ -311,15 +297,15 @@ class ColumnarPairScorer:
       Monge-Elkan comparisons of multi-word values;
     * per-attribute soft-IDF weights, keyed by the cell value.
 
-    The tables live on the scorer only (never at module level, never
-    pickled), so they are freed with the batch.
+    The tables live on the scorer only (never at module level), so they are
+    freed with the batch.
 
     **Bit-identity**: memoisation only short-circuits pure functions of the
     measure's fitted state, and the per-pair weighted accumulation runs in the
     same attribute order as ``explain_rows``, so every returned float is
-    byte-identical to the per-pair loop.  Parity is asserted by the executor
-    test suite and bench E4's columnar series; the frozen pair-score fixtures
-    pin both paths to the same bits.
+    byte-identical to the per-pair loop.  Parity is asserted by
+    ``tests/dedup/test_executor.py`` and bench E4's columnar series; the
+    frozen pair-score fixtures pin both paths to the same bits.
     """
 
     def __init__(

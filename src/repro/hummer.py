@@ -11,7 +11,7 @@ instead of the historical pile of keyword arguments::
     from repro import DedupConfig, FusionConfig, HumMer, PrepareConfig
 
     hummer = HumMer(config=FusionConfig(
-        dedup=DedupConfig(threshold=0.8, blocking="adaptive", workers=4),
+        dedup=DedupConfig(threshold=0.8, blocking="adaptive"),
         prepare=PrepareConfig(mode="lazy"),
     ))
     hummer.register("EE_Students", ee_rows)
@@ -60,7 +60,7 @@ class HumMer:
     Args:
         config: the declarative configuration tree
             (:class:`repro.config.FusionConfig`) — matching knobs, dedup
-            threshold / blocking / executor, preparation mode and artifact
+            threshold / blocking / clustering, preparation mode and artifact
             directory, default resolutions.  Defaults to a stock tree.
         matcher: schema-matcher *instance* override (object injection; wins
             over ``config.matching``).

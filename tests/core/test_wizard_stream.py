@@ -54,7 +54,6 @@ DETECTED = {
         "candidate_pairs": 55,
         "compared_pairs": 42,
         "pairs_scored": 55,
-        "score_batches": 1,
         "clustering": "transitive",
         "largest_cluster": 2,
         "chains_split": 0,

@@ -178,3 +178,42 @@ class TestDuplicateDetector:
         )
         metrics = evaluate_clusters(result.cluster_assignment, truth_pairs)
         assert metrics.f1 >= 0.8
+
+
+class TestAcceptUnsureRule:
+    """``duplicate_pairs`` counts the pairs that were clustered: undecided
+    unsure pairs follow the detector's ``accept_unsure``, before and after
+    the user decides some of them."""
+
+    def session(self):
+        from repro import DedupConfig, FusionConfig
+        from repro.datagen.scenarios import cd_stores_scenario
+        from repro.hummer import HumMer
+
+        dataset = cd_stores_scenario(entity_count=40, store_count=3, seed=1000)
+        hummer = HumMer(config=FusionConfig(dedup=DedupConfig(accept_unsure=False)))
+        for alias, relation in dataset.sources.items():
+            hummer.register(alias, relation)
+        return hummer.session(list(dataset.sources))
+
+    def test_summary_counts_only_clustered_pairs(self):
+        result = self.session().run()
+        detection = result.detection
+        counts = detection.classified.counts
+        assert counts["unsure"] > 0
+        assert result.summary()["duplicate_pairs"] == detection.clustering_report.edges
+        assert len(detection.duplicate_pairs) == counts["sure_duplicates"]
+
+    def test_rule_holds_after_redetect_with_decisions(self):
+        session = self.session()
+        detection = session.advance_to("duplicate_detection")
+        classified = detection.classified
+        classified.confirm(classified.unsure[0].as_tuple(), True)
+        session.apply_duplicate_decisions()
+        result = session.run()
+        detection = result.detection
+        assert detection.accept_unsure is False
+        assert result.summary()["duplicate_pairs"] == detection.clustering_report.edges
+        assert len(detection.duplicate_pairs) == (
+            detection.classified.counts["sure_duplicates"] + 1
+        )

@@ -161,7 +161,7 @@ SIGNATURES = {
     "DuplicateDetector.__init__": [
         "self", "threshold", "uncertainty_band", "use_filter",
         "cross_source_only", "selection", "accept_unsure", "keep_evidence",
-        "blocking", "clustering", "executor",
+        "blocking", "clustering",
     ],
     "DuplicateDetector.detect": [
         "self", "relation", "selection", "progress_callback", "prepared",
@@ -327,6 +327,10 @@ class TestRetiredShims:
     def test_pipeline_legacy_kwargs_rejected(self, catalog, kwargs):
         with pytest.raises(TypeError):
             FusionPipeline(catalog, **kwargs)
+
+    def test_detector_executor_kwarg_rejected(self):
+        with pytest.raises(TypeError):
+            DuplicateDetector(executor="serial")
 
     def test_register_prepare_no_longer_promotes(self, catalog):
         """``register(prepare=...)`` without an instance mode is an error."""

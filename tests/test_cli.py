@@ -299,6 +299,54 @@ class TestConfigFile:
         assert "cannot read config file" in captured.err
 
 
+class TestRemovedScoringFlags:
+    """Pair scoring has one in-process path: ``fuse`` and ``demo`` have no
+    ``--workers`` / ``--chunk-size``, and config files setting the deleted
+    ``dedup`` fields are errors.  ``serve --workers`` sizes the service's
+    thread pool and stays."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("executor", "multiprocess"), ("workers", 4), ("chunk_size", 64),
+    ])
+    def test_config_file_with_removed_field_is_an_error(
+        self, csv_sources, tmp_path, capsys, field, value
+    ):
+        ee_path, cs_path = csv_sources
+        config_path = tmp_path / "fusion.json"
+        config_path.write_text(json.dumps({"dedup": {field: value}}))
+        exit_code = main(
+            ["fuse", "--source", f"ee={ee_path}", "--source", f"cs={cs_path}",
+             "--config", str(config_path)]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith("error:")
+        assert f"'{field}'" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--source", "a=a.csv", "--workers", "2"],
+        ["demo", "students", "--chunk-size", "5"],
+    ], ids=["fuse-workers", "demo-chunk-size"])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_workers_sizes_the_thread_pool(self, monkeypatch):
+        import repro.service.server
+
+        states = []
+
+        async def fake_serve(host, port, state, announce):
+            states.append(state)
+
+        monkeypatch.setattr(repro.service.server, "serve", fake_serve)
+        assert main(["serve", "--port", "0", "--workers", "3"]) == 0
+        assert states[0].max_workers == 3
+        states[0].close()
+
+
 class TestDemoCommand:
     def test_students_demo_runs(self, capsys):
         exit_code = main(["demo", "students", "--entities", "15", "--limit", "5"])

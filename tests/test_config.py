@@ -18,7 +18,6 @@ from repro.config import (
     ResolutionConfig,
 )
 from repro.dedup.blocking import SortedNeighborhoodBlocking, UnionBlocking
-from repro.dedup.executor import MultiprocessExecutor, SerialExecutor
 from repro.dedup.graphcluster import BicliqueClustering, GraphClustering
 from repro.exceptions import ConfigError, HummerError
 
@@ -41,8 +40,6 @@ def full_config() -> FusionConfig:
             blocking_options={"window": 6},
             clustering="graph",
             clustering_options={"min_cohesion": 0.5},
-            workers=2,
-            chunk_size=64,
         ),
         prepare=PrepareConfig(mode="lazy", artifact_dir="/tmp/artifacts"),
         resolution=ResolutionConfig(
@@ -134,24 +131,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="strategy name"):
             DedupConfig(clustering=GraphClustering())
 
-    def test_bad_executor_name(self):
-        with pytest.raises(ConfigError, match="unknown scoring executor"):
-            DedupConfig(executor="threads")
-
-    def test_negative_workers(self):
-        with pytest.raises(ConfigError, match="workers must be at least 1"):
-            DedupConfig(workers=-2)
-
-    def test_chunk_size_needs_parallel_workers(self):
-        with pytest.raises(ConfigError, match="chunk_size"):
-            DedupConfig(chunk_size=32)
-        with pytest.raises(ConfigError, match="chunk_size"):
-            DedupConfig(workers=1, chunk_size=32)
-
-    def test_workers_exclusive_with_executor_name(self):
-        with pytest.raises(ConfigError, match="workers cannot be combined"):
-            DedupConfig(executor="serial", workers=4)
-
     def test_threshold_range(self):
         with pytest.raises(ConfigError, match=r"threshold must lie in \[0, 1\]"):
             DedupConfig(threshold=1.2)
@@ -200,19 +179,6 @@ class TestBuilders:
         assert isinstance(strategy, BicliqueClustering)
         assert strategy.max_component_size == 32
 
-    def test_build_executor_from_workers(self):
-        assert isinstance(DedupConfig().build_executor(), SerialExecutor)
-        executor = DedupConfig(workers=3, chunk_size=16).build_executor()
-        assert isinstance(executor, MultiprocessExecutor)
-        assert executor.workers == 3
-        assert executor.chunk_size == 16
-
-    def test_build_executor_from_name(self):
-        assert isinstance(
-            DedupConfig(executor="multiprocess").build_executor(),
-            MultiprocessExecutor,
-        )
-
     def test_build_detector_carries_every_field(self):
         config = full_config().dedup
         detector = config.build_detector()
@@ -223,7 +189,6 @@ class TestBuilders:
         assert isinstance(detector.blocking, SortedNeighborhoodBlocking)
         assert isinstance(detector.clustering, GraphClustering)
         assert detector.clustering.min_cohesion == 0.5
-        assert isinstance(detector.executor, MultiprocessExecutor)
 
     def test_build_matcher(self):
         matcher = full_config().matching.build_matcher()
@@ -259,8 +224,6 @@ class TestFromCliArgs:
             blocking="token",
             token_max_block=20,
             snm_window=None,
-            workers=None,
-            chunk_size=None,
             prepare=False,
             artifact_dir=None,
         )
@@ -283,19 +246,11 @@ class TestFromCliArgs:
         assert config.dedup.clustering == "graph"
         assert config.dedup.clustering_options == {"min_cohesion": 0.5}
 
-    def test_workers_flag_replaces_config_file_executor(self):
-        base = FusionConfig(dedup=DedupConfig(executor="multiprocess"))
-        config = FusionConfig.from_cli_args(self._args(workers=2), base=base)
-        assert config.dedup.executor is None
-        assert config.dedup.workers == 2
-
     def test_option_flags_require_their_strategy(self):
         with pytest.raises(ConfigError, match="--snm-window"):
             FusionConfig.from_cli_args(self._args(blocking="token", snm_window=4))
         with pytest.raises(ConfigError, match="--token-max-block"):
             FusionConfig.from_cli_args(self._args(blocking="snm", token_max_block=4))
-        with pytest.raises(ConfigError, match="--chunk-size"):
-            FusionConfig.from_cli_args(self._args(chunk_size=4))
 
     def test_artifact_dir_implies_lazy_prepare(self):
         config = FusionConfig.from_cli_args(self._args(artifact_dir="/tmp/x"))
@@ -321,20 +276,26 @@ class TestFromCliArgs:
         assert changed.dedup.blocking == "token"
         assert changed.dedup.blocking_options == {}
 
-    def test_chunk_size_flag_composes_with_base_workers(self):
-        base = FusionConfig(dedup=DedupConfig(workers=4))
-        config = FusionConfig.from_cli_args(self._args(chunk_size=500), base=base)
-        assert config.dedup.workers == 4
-        assert config.dedup.chunk_size == 500
 
-    def test_workers_flag_keeps_the_base_chunk_size(self):
-        base = FusionConfig(dedup=DedupConfig(workers=4, chunk_size=500))
-        config = FusionConfig.from_cli_args(self._args(workers=8), base=base)
-        assert config.dedup.workers == 8
-        assert config.dedup.chunk_size == 500
+#: The scoring knobs deleted with the process-pool scorer, with values a
+#: config written before the deletion would carry.
+REMOVED_SCORING_KNOBS = [("executor", "multiprocess"), ("workers", 4), ("chunk_size", 64)]
 
-    def test_serial_workers_flag_drops_the_base_chunk_size(self):
-        base = FusionConfig(dedup=DedupConfig(workers=4, chunk_size=500))
-        config = FusionConfig.from_cli_args(self._args(workers=1), base=base)
-        assert config.dedup.workers == 1
-        assert config.dedup.chunk_size is None
+
+class TestRemovedScoringKnobs:
+    """Pair scoring has one in-process path: ``executor``, ``workers`` and
+    ``chunk_size`` are gone from ``DedupConfig`` and fail loudly."""
+
+    @pytest.mark.parametrize("name, value", REMOVED_SCORING_KNOBS)
+    def test_constructor_rejects(self, name, value):
+        with pytest.raises(TypeError):
+            DedupConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", REMOVED_SCORING_KNOBS)
+    def test_from_dict_names_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            FusionConfig.from_dict({"dedup": {name: value}})
+
+    def test_build_detector_takes_no_executor(self):
+        with pytest.raises(TypeError):
+            DedupConfig().build_detector(executor="serial")
