@@ -21,7 +21,6 @@ from benchmarks.conftest import print_table
 from repro.core.pipeline import FusionPipeline
 from repro.datagen.corruptor import CorruptionConfig
 from repro.datagen.scenarios import cd_stores_scenario, students_scenario
-from repro.dedup.blocking import AdaptiveBlocking
 from repro.dedup.descriptions import select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
 from repro.dedup.pairs import CandidatePairGenerator, PairScore
@@ -185,104 +184,6 @@ def test_e4_blocking_vs_allpairs(benchmark):
 
     benchmark.pedantic(
         lambda: DuplicateDetector(blocking="token").detect(prepare_students(80)),
-        rounds=1,
-        iterations=1,
-    )
-
-
-#: Sizes for the adaptive-vs-fixed series.  At the parity sizes (both at or
-#: below 256 entities, i.e. under the planner's 400-tuple small threshold)
-#: adaptive must reproduce the all-pairs result exactly; at the large size it
-#: must escalate and respect the candidate budget.
-ADAPTIVE_PARITY_ENTITIES = 120
-ADAPTIVE_PLAN_ONLY_ENTITIES = 250
-ADAPTIVE_LARGE_ENTITIES = 1000
-
-
-def test_e4_adaptive_blocking(benchmark):
-    """Adaptive planner vs fixed strategies (ISSUE 3 acceptance bar).
-
-    * ≤256-entity inputs: the plan is the exact all-pairs baseline, so
-      duplicate recall matches all-pairs by construction — asserted end to
-      end at the parity size, by plan inspection at the second size.
-    * ≥1000 entities: the plan escalates past all-pairs and the proposed
-      candidates stay at or below 30% of all pairs (candidate enumeration
-      only — scoring that many pairs is the columnar series' job).
-    """
-    rows = []
-
-    # -- parity checkpoint: full detection, adaptive vs all-pairs -----------------
-    combined = prepare_students(ADAPTIVE_PARITY_ENTITIES)
-    baseline = DuplicateDetector(blocking="allpairs").detect(combined)
-    adaptive = DuplicateDetector(blocking="adaptive").detect(combined)
-    plan = adaptive.filter_statistics.blocking_plan
-    assert plan is not None and plan["strategy"] == "allpairs"
-    assert set(adaptive.duplicate_pairs) == set(baseline.duplicate_pairs)
-    assert adaptive.cluster_assignment == baseline.cluster_assignment
-    stats = adaptive.filter_statistics
-    rows.append(
-        (
-            ADAPTIVE_PARITY_ENTITIES,
-            len(combined),
-            "adaptive→allpairs",
-            stats.total_pairs,
-            stats.blocking_candidates,
-            len(adaptive.duplicate_pairs),
-        )
-    )
-
-    # -- plan-only check just under the threshold ---------------------------------
-    combined = prepare_students(ADAPTIVE_PLAN_ONLY_ENTITIES)
-    selection = select_interesting_attributes(combined)
-    strategy = AdaptiveBlocking()
-    plan_only = strategy.plan(combined, list(selection.attributes))
-    assert plan_only.strategy_name == "allpairs"
-    rows.append(
-        (
-            ADAPTIVE_PLAN_ONLY_ENTITIES,
-            len(combined),
-            "adaptive→allpairs",
-            plan_only.profile.total_pairs,
-            plan_only.proposed_pairs,
-            "-",
-        )
-    )
-
-    # -- large input: candidate budget, adaptive vs fixed strategies --------------
-    combined = prepare_students(ADAPTIVE_LARGE_ENTITIES)
-    selection = select_interesting_attributes(combined)
-    measure = DuplicateSimilarityMeasure(selection).fit(combined)
-    for blocking in ["adaptive", "snm", "token"]:
-        generator = CandidatePairGenerator(measure, filter_threshold=0.65, blocking=blocking)
-        candidates = sum(1 for _ in generator.candidate_indices(combined))
-        stats = generator.statistics
-        label = blocking
-        if blocking == "adaptive":
-            plan = stats.blocking_plan
-            assert plan is not None and plan["strategy"] != "allpairs"
-            assert candidates <= 0.30 * stats.total_pairs
-            label = f"adaptive→{plan['strategy']}"
-        rows.append(
-            (
-                ADAPTIVE_LARGE_ENTITIES,
-                len(combined),
-                label,
-                stats.total_pairs,
-                candidates,
-                "-",
-            )
-        )
-
-    print_table(
-        "E4e: adaptive vs fixed blocking (students, low corruption)",
-        ["entities", "tuples", "blocking", "all pairs", "candidates", "accepted"],
-        rows,
-    )
-
-    benchmark.pedantic(
-        lambda: DuplicateDetector(blocking="adaptive").detect(
-            prepare_students(ADAPTIVE_PARITY_ENTITIES)
-        ),
         rounds=1,
         iterations=1,
     )
@@ -455,7 +356,7 @@ def test_e4_warm_vs_cold(benchmark, request):
     from repro.dedup.blocking import TokenBlocking
     from repro.engine.catalog import Catalog as PrepCatalog
     from repro.hummer import HumMer
-    from repro.prepare import SourcePreparer
+    from repro.prepare import ARTIFACT_KINDS, SourcePreparer
 
     entities_option = request.config.getoption("--e4-warm-entities")
     json_path = request.config.getoption("--e4-warm-json")
@@ -489,7 +390,7 @@ def test_e4_warm_vs_cold(benchmark, request):
         warm_s = time.perf_counter() - started
 
         assert warm.summary()["artifacts_rebuilt"] == 0
-        assert warm.summary()["artifacts_reused"] == 4 * len(aliases)
+        assert warm.summary()["artifacts_reused"] == len(ARTIFACT_KINDS) * len(aliases)
         assert warm.relation.rows == cold.relation.rows
         assert warm.relation.schema.names == cold.relation.schema.names
         assert warm.detection.cluster_assignment == cold.detection.cluster_assignment

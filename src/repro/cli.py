@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from repro.config import FusionConfig, load_config_data
 from repro.datagen.scenarios import cd_stores_scenario, crisis_scenario, students_scenario
-from repro.dedup.blocking import BLOCKING_STRATEGIES, format_plan_report
+from repro.dedup.blocking import BLOCKING_STRATEGIES
 from repro.dedup.graphcluster import CLUSTERING_STRATEGIES
 from repro.engine.io.csv_source import CsvSource, write_csv
 from repro.engine.io.json_source import JsonSource
@@ -69,8 +69,7 @@ def _add_blocking_arguments(parser: argparse.ArgumentParser) -> None:
         f"{', '.join(sorted(BLOCKING_STRATEGIES))}, or a composite "
         "'union:a+b' spelling (e.g. union:snm+token).  allpairs (the "
         "default) is exact; snm and token trade a little candidate recall "
-        "for near-linear scaling; adaptive profiles the input and picks a "
-        "plan itself",
+        "for near-linear scaling",
     )
     parser.add_argument(
         "--snm-window",
@@ -106,9 +105,9 @@ def _add_prepare_arguments(parser: argparse.ArgumentParser) -> None:
         "--prepare",
         action="store_true",
         help="build per-source artifacts (token index, TF-IDF seeding "
-        "statistics, planner profile, SoftTFIDF field corpus) at "
-        "registration and merge them at query time; repeated runs over "
-        "unchanged sources skip the preparation-bound work entirely",
+        "statistics, SoftTFIDF field corpus) at registration and merge "
+        "them at query time; repeated runs over unchanged sources skip "
+        "the preparation-bound work entirely",
     )
     parser.add_argument(
         "--artifact-dir",
@@ -266,14 +265,6 @@ def _command_query(args) -> int:
     return 0
 
 
-def _print_blocking_plan(statistics) -> None:
-    """Print a deciding strategy's plan report, if one was recorded."""
-    if statistics.blocking_plan is None:
-        return
-    for line in format_plan_report(statistics.blocking_plan):
-        print(line)
-
-
 def _print_clustering_report(detection) -> None:
     """Print what the clustering strategy did to the accepted pair graph."""
     report = detection.clustering_report
@@ -305,7 +296,6 @@ def _command_fuse(args) -> int:
         rendered = f"{value:.3f}" if isinstance(value, float) else value
         print(f"  {key}: {rendered}")
     _print_prepare_report(result)
-    _print_blocking_plan(result.detection.filter_statistics)
     _print_clustering_report(result.detection)
     print()
     print(result.relation.to_text(limit=args.limit))
@@ -341,7 +331,6 @@ def _command_demo(args) -> int:
         f"{statistics.compared} compared in full"
     )
     _print_prepare_report(result)
-    _print_blocking_plan(statistics)
     _print_clustering_report(result.detection)
     print(
         f"duplicates: {counts['sure_duplicates']} sure, {counts['unsure']} unsure, "

@@ -3,9 +3,9 @@
 Before this module, every fusion knob travelled as a keyword argument copied
 by hand through four layers (``HumMer`` → ``FusionPipeline`` →
 ``DuplicateDetector`` → CLI), and each new subsystem (blocking, clustering,
-adaptive planning, prepared artifacts) widened that surface with another
-mutual-exclusion rule.  :class:`FusionConfig` replaces the threading with a
-single typed tree:
+prepared artifacts) widened that surface with another mutual-exclusion
+rule.  :class:`FusionConfig` replaces the threading with a single typed
+tree:
 
 * :class:`MatchingConfig` — DUMAS seeding / correspondence knobs and the
   name-based fallback;
@@ -16,10 +16,12 @@ single typed tree:
 * :class:`ResolutionConfig` — default per-column resolution functions and
   fusion key columns.
 
-Every section is a frozen dataclass validated **at construction time** (the
-scattered ``ValueError``\\ s of the pre-config layers now surface as one
-:class:`~repro.exceptions.ConfigError` with the same messages), and the tree
-round-trips losslessly: ``FusionConfig.from_dict(cfg.to_dict()) == cfg``.
+Every section is a frozen dataclass validated **at construction time**:
+first every field's type, from its annotation (a ``"false"`` string is not a
+boolean, ``True`` is not a number), then the section's value ranges.  Each
+mistake surfaces as one :class:`~repro.exceptions.ConfigError` naming the
+``section.field``, and the tree round-trips losslessly:
+``FusionConfig.from_dict(cfg.to_dict()) == cfg``.
 
 Serialisable specs only: blocking and clustering are stored as *names* (the
 CLI spellings — ``"snm"``, ``"union:snm+token"``, ``"graph"`` …) plus
@@ -85,6 +87,39 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_number(value: Any) -> bool:
+    # bool is an int subclass, but True is not a number in a config
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Field annotation → (accepts the value?, what the error message expects).
+#: Keys are the annotations as written: this module postpones annotations,
+#: so ``dataclasses.Field.type`` is the source text.
+_FIELD_TYPES = {
+    "bool": (lambda value: isinstance(value, bool), "a boolean"),
+    "int": (lambda value: _is_number(value) and isinstance(value, int), "an integer"),
+    "float": (_is_number, "a number"),
+    "Optional[str]": (lambda value: value is None or isinstance(value, str), "None or a string"),
+    "Mapping[str, Any]": (lambda value: isinstance(value, Mapping), "a mapping"),
+    "Tuple[str, ...]": (
+        lambda value: isinstance(value, (list, tuple))
+        and all(isinstance(item, str) for item in value),
+        "a list of strings",
+    ),
+}
+
+
+def _strategy_name(parameter: str):
+    """A strategy-name field; instances belong to object injection, not the tree."""
+    return field(
+        default=None,
+        metadata={
+            "hint": "pass a strategy name here and instances via "
+            f"DuplicateDetector({parameter}=...) object injection"
+        },
+    )
+
+
 def _freeze(value: Any) -> Any:
     """Dict/list payloads → plain immutable-ish normal forms (lists → tuples)."""
     if isinstance(value, Mapping):
@@ -104,7 +139,25 @@ def _thaw(value: Any) -> Any:
 
 
 class _Section:
-    """Shared ``to_dict`` / ``from_dict`` plumbing of every config section."""
+    """Shared type checks and ``to_dict`` / ``from_dict`` plumbing of every section."""
+
+    #: The section's key in the config tree, prefixed to field names in errors.
+    section = ""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepts, expected = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                hint = f.metadata.get("hint")
+                raise ConfigError(
+                    f"{self.section}.{f.name} must be {expected}, got {value!r}"
+                    + (f"; {hint}" if hint else "")
+                )
+        self._validate()
+
+    def _validate(self) -> None:
+        """Value checks and normalisation, on fields of the right types."""
 
     def to_dict(self) -> Dict[str, Any]:
         """Field → JSON-serialisable value mapping (full, deterministic)."""
@@ -144,12 +197,14 @@ class MatchingConfig(_Section):
             relation, fall back to label-based matching instead of failing.
     """
 
+    section = "matching"
+
     max_seeds: int = 10
     min_seed_similarity: float = 0.25
     correspondence_threshold: float = 0.35
     use_name_fallback: bool = True
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(self.max_seeds >= 1, "max_seeds must be at least 1")
         _require(
             0.0 <= self.min_seed_similarity <= 1.0,
@@ -181,7 +236,7 @@ class DedupConfig(_Section):
         accept_unsure: whether undecided unsure pairs count as duplicates.
         keep_evidence: keep per-attribute evidence on every scored pair.
         blocking: blocking strategy *name* (``"allpairs"``, ``"snm"``,
-            ``"token"``, ``"adaptive"``, composite ``"union:snm+token"``) or
+            ``"token"``, ``"union"``, composite ``"union:snm+token"``) or
             ``None`` for the exact all-pairs baseline.
         blocking_options: constructor options for the named strategy
             (``window=`` for snm, ``max_block_size=`` for token, …).
@@ -193,18 +248,20 @@ class DedupConfig(_Section):
             ``weak_edge_ratio=`` / ``max_component_size=`` for biclique).
     """
 
+    section = "dedup"
+
     threshold: float = 0.7
     uncertainty_band: float = 0.1
     use_filter: bool = True
     cross_source_only: bool = False
     accept_unsure: bool = True
     keep_evidence: bool = False
-    blocking: Optional[str] = None
+    blocking: Optional[str] = _strategy_name("blocking")
     blocking_options: Mapping[str, Any] = field(default_factory=dict)
-    clustering: Optional[str] = None
+    clustering: Optional[str] = _strategy_name("clustering")
     clustering_options: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         object.__setattr__(self, "blocking_options", _freeze(self.blocking_options))
         object.__setattr__(
             self, "clustering_options", _freeze(self.clustering_options)
@@ -212,18 +269,8 @@ class DedupConfig(_Section):
         _require(0.0 <= self.threshold <= 1.0, "threshold must lie in [0, 1]")
         _require(self.uncertainty_band >= 0.0, "uncertainty_band must not be negative")
         _require(
-            self.blocking is None or isinstance(self.blocking, str),
-            "blocking must be a strategy name (pass instances via "
-            "DuplicateDetector(blocking=...) object injection instead)",
-        )
-        _require(
             not (self.blocking_options and self.blocking is None),
             "blocking_options need a named blocking strategy",
-        )
-        _require(
-            self.clustering is None or isinstance(self.clustering, str),
-            "clustering must be a strategy name (pass instances via "
-            "DuplicateDetector(clustering=...) object injection instead)",
         )
         _require(
             not (self.clustering_options and self.clustering is None),
@@ -283,17 +330,15 @@ class PrepareConfig(_Section):
             tenant's artifact cache survives restarts in isolation.
     """
 
+    section = "prepare"
+
     mode: Optional[str] = None
     artifact_dir: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(
             self.mode in PREPARE_MODES,
             f'unknown prepare mode {self.mode!r}: must be None, "lazy" or "eager"',
-        )
-        _require(
-            self.artifact_dir is None or isinstance(self.artifact_dir, str),
-            "artifact_dir must be a path string",
         )
 
 
@@ -310,10 +355,12 @@ class ResolutionConfig(_Section):
             from duplicate detection (the ``objectID`` column).
     """
 
+    section = "resolution"
+
     resolutions: Mapping[str, Any] = field(default_factory=dict)
     key_columns: Tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         object.__setattr__(self, "resolutions", _freeze(self.resolutions))
         object.__setattr__(self, "key_columns", tuple(self.key_columns))
         for column, function in self.resolutions.items():
@@ -332,10 +379,7 @@ class ResolutionConfig(_Section):
                 f"resolution for column {column!r} must be a function name or "
                 "a [name, [args...]] pair",
             )
-        _require(
-            all(isinstance(key, str) and key for key in self.key_columns),
-            "key_columns must be non-empty strings",
-        )
+        _require(all(self.key_columns), "key_columns must be non-empty strings")
 
     def build_spec(self):
         """The :class:`~repro.core.fusion.FusionSpec` this section describes.
@@ -365,10 +409,8 @@ class ResolutionConfig(_Section):
 
 #: Section name → section class, in tree order.
 _SECTIONS = {
-    "matching": MatchingConfig,
-    "dedup": DedupConfig,
-    "prepare": PrepareConfig,
-    "resolution": ResolutionConfig,
+    section_class.section: section_class
+    for section_class in (MatchingConfig, DedupConfig, PrepareConfig, ResolutionConfig)
 }
 
 

@@ -138,9 +138,6 @@ class PipelineResult:
             summary["duplicate_pairs"] = len(self.detection.duplicate_pairs)
             summary["candidate_pairs"] = self.detection.filter_statistics.blocking_candidates
             summary["compared_pairs"] = self.detection.filter_statistics.compared
-            plan = self.detection.filter_statistics.blocking_plan
-            if plan is not None:
-                summary["blocking_plan"] = plan.get("strategy")
             report = self.detection.clustering_report
             if report is not None:
                 summary["clustering"] = report.strategy
@@ -250,8 +247,8 @@ def _attribute_selection(session: "FusionSession"):
 def _duplicate_detection(session: "FusionSession"):
     """Steps 3 + 4: detect duplicates; the caller may then confirm unsure pairs.
 
-    With a prepared view, token indexes and planner profiles are merged from
-    the per-source artifacts instead of being rebuilt from cell values.
+    With a prepared view, token indexes are merged from the per-source
+    artifacts instead of being rebuilt from cell values.
     """
     if session.skip_detection:
         return None, {"skipped": True}
@@ -270,8 +267,6 @@ def _duplicate_detection(session: "FusionSession"):
         "compared_pairs": statistics.compared,
         "pairs_scored": statistics.considered,
     }
-    if statistics.blocking_plan is not None:
-        payload["blocking_plan"] = statistics.blocking_plan
     report = detection.clustering_report
     if report is not None:
         payload["clustering"] = report.strategy

@@ -20,7 +20,7 @@ before advancing again::
 
 Progress on long runs is observable through subscribe-able
 :class:`StageEvent`\\ s carrying per-step wall-clock seconds and payloads
-(artifact reuse counters, the blocking plan report, classification counts).
+(artifact reuse counters, candidate-pair counts, classification counts).
 
 Each step is defined once, in the step table
 :data:`~repro.core.pipeline.WIZARD_STEPS`, and :meth:`FusionSession.advance`

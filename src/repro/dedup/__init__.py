@@ -28,14 +28,11 @@ by schema matching:
 """
 
 from repro.dedup.blocking import (
-    AdaptiveBlocking,
     AllPairsBlocking,
-    BlockingPlan,
     BlockingStrategy,
     SortedNeighborhoodBlocking,
     TokenBlocking,
     UnionBlocking,
-    profile_relation,
     resolve_blocking,
 )
 from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
@@ -63,9 +60,6 @@ __all__ = [
     "SortedNeighborhoodBlocking",
     "TokenBlocking",
     "UnionBlocking",
-    "AdaptiveBlocking",
-    "BlockingPlan",
-    "profile_relation",
     "resolve_blocking",
     "SerialExecutor",
     "AttributeSelection",

@@ -11,10 +11,7 @@ turns pair enumeration into a strategy:
   is a candidate iff it shares at least one block;
 * :class:`UnionBlocking` — the merged proposals of several child strategies
   (``union:snm+token`` on the CLI), for inputs where one kind of evidence
-  is not enough;
-* :class:`AdaptiveBlocking` — a profiling-driven planner that picks one of
-  the above (and its knobs) per relation and reports the chosen
-  :class:`BlockingPlan` through ``FilterStatistics``.
+  is not enough.
 
 Strategies only *propose* pairs; scoring, filtering and clustering are
 unchanged.  See ``docs/blocking.md`` for selection guidance.
@@ -24,14 +21,6 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.dedup.blocking.adaptive import (
-    AdaptiveBlocking,
-    AttributeProfile,
-    BlockingPlan,
-    RelationProfile,
-    format_plan_report,
-    profile_relation,
-)
 from repro.dedup.blocking.allpairs import AllPairsBlocking
 from repro.dedup.blocking.base import BlockingStrategy
 from repro.dedup.blocking.sorted_neighborhood import SortedNeighborhoodBlocking
@@ -45,12 +34,6 @@ __all__ = [
     "SortedNeighborhoodBlocking",
     "TokenBlocking",
     "UnionBlocking",
-    "AdaptiveBlocking",
-    "AttributeProfile",
-    "RelationProfile",
-    "BlockingPlan",
-    "profile_relation",
-    "format_plan_report",
     "BLOCKING_STRATEGIES",
     "resolve_blocking",
 ]
@@ -61,7 +44,6 @@ BLOCKING_STRATEGIES = {
     SortedNeighborhoodBlocking.name: SortedNeighborhoodBlocking,
     TokenBlocking.name: TokenBlocking,
     UnionBlocking.name: UnionBlocking,
-    AdaptiveBlocking.name: AdaptiveBlocking,
 }
 
 #: What every ``blocking=`` parameter accepts: a strategy name (including the
@@ -76,12 +58,12 @@ def resolve_blocking(spec: BlockingSpec, **options) -> BlockingStrategy:
     Args:
         spec: ``None`` (→ all-pairs baseline), a name from
             :data:`BLOCKING_STRATEGIES` (``"allpairs"``, ``"snm"``,
-            ``"token"``, ``"union"``, ``"adaptive"``), a composite
+            ``"token"``, ``"union"``), a composite
             ``"union:snm+token"`` spelling naming the union's children, or
             an already-constructed strategy.
         options: keyword arguments for the strategy constructor when *spec*
             is a name (e.g. ``window=`` for SNM, ``max_block_size=`` for
-            token blocking, ``small_threshold=`` for the adaptive planner).
+            token blocking).
             Rejected when *spec* is an instance.
     """
     if spec is None:

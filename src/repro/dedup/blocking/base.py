@@ -19,7 +19,7 @@ proposed.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.relation import Relation
 from repro.similarity.tokenize import normalize_text
@@ -87,23 +87,6 @@ class BlockingStrategy(ABC):
     ) -> List[Tuple[str, int]]:
         """Helper shared by key-based strategies: resolved attribute positions."""
         return attribute_positions(relation, attributes)
-
-    def plan_report(
-        self,
-        relation: Relation,
-        attributes: Sequence[str],
-        prepared: Optional["PreparedQueryView"] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """A JSON-serialisable report of how this strategy will block *relation*.
-
-        Fixed strategies return ``None`` — their behaviour is fully described
-        by their constructor arguments.  Deciding strategies (the adaptive
-        planner, union blocking) override this so the chosen plan threads
-        through :class:`~repro.dedup.filters.FilterStatistics` into pipeline
-        summaries and the CLI.  Must be cheap to call right before
-        :meth:`pairs` on the same arguments (planners memoise).
-        """
-        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -7,12 +7,12 @@ neighborhood).  Those failure modes are largely independent, so the union of
 several cheap proposers recovers pairs any one of them would drop — the
 propose-from-cheap-indexes, verify-with-the-full-measure shape of sparse
 bipartite enumeration.  The price is the union of the candidate counts, so
-this is the high-corruption escalation, not the default.
+this is for high-corruption inputs, not the default.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from repro.dedup.blocking.base import BlockingStrategy
 from repro.engine.relation import Relation
@@ -59,14 +59,6 @@ class UnionBlocking(BlockingStrategy):
                     continue
                 seen.add(pair)
                 yield pair
-
-    def plan_report(
-        self, relation: Relation, attributes: Sequence[str], prepared=None
-    ) -> Dict[str, Any]:
-        return {
-            "strategy": self.name,
-            "children": [child.name for child in self.children],
-        }
 
     def __repr__(self) -> str:
         return f"UnionBlocking(children={self.children!r})"

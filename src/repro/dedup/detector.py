@@ -104,8 +104,8 @@ class DuplicateDetector:
         keep_evidence: keep per-attribute evidence on every scored pair.
         blocking: candidate-pair blocking strategy — a
             :class:`~repro.dedup.blocking.BlockingStrategy` instance, a name
-            (``"allpairs"``, ``"snm"``, ``"token"``, ``"union:snm+token"``,
-            ``"adaptive"``) or ``None`` for the exact all-pairs baseline.
+            (``"allpairs"``, ``"snm"``, ``"token"``, ``"union:snm+token"``)
+            or ``None`` for the exact all-pairs baseline.
         clustering: duplicate-grouping strategy — a
             :class:`~repro.dedup.graphcluster.ClusteringStrategy` instance, a
             name (``"transitive"``, ``"graph"``, ``"biclique"``) or ``None``

@@ -12,7 +12,7 @@ saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Sequence
 
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
 
@@ -35,10 +35,6 @@ class FilterStatistics:
             from the same source (``cross_source_only``).
         considered: pairs that reached the upper-bound filter.
         pruned: pairs the upper-bound filter removed.
-        blocking_plan: the plan report of a deciding blocking strategy (the
-            adaptive planner, union blocking), or ``None`` for fixed
-            strategies.  Set during candidate enumeration so summaries and
-            the CLI can show *why* the candidates look the way they do.
     """
 
     total_pairs: int = 0
@@ -46,7 +42,6 @@ class FilterStatistics:
     cross_source_skipped: int = 0
     considered: int = 0
     pruned: int = 0
-    blocking_plan: Optional[Dict[str, Any]] = None
 
     @property
     def compared(self) -> int:
@@ -82,7 +77,6 @@ class FilterStatistics:
             "considered": self.considered,
             "pruned": self.pruned,
             "compared": self.compared,
-            "blocking_plan": self.blocking_plan,
         }
 
     def reset(self) -> None:
@@ -92,7 +86,6 @@ class FilterStatistics:
         self.cross_source_skipped = 0
         self.considered = 0
         self.pruned = 0
-        self.blocking_plan = None
 
 
 class UpperBoundFilter:

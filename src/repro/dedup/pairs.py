@@ -52,8 +52,8 @@ class CandidatePairGenerator:
         keep_evidence: retain per-attribute evidence for each scored pair
             (needed by the demo's conflict preview, costs memory).
         blocking: a :class:`BlockingStrategy`, a strategy name
-            (``"allpairs"``, ``"snm"``, ``"token"``, ``"union:snm+token"``,
-            ``"adaptive"``) or ``None`` for the exact all-pairs baseline.
+            (``"allpairs"``, ``"snm"``, ``"token"``, ``"union:snm+token"``)
+            or ``None`` for the exact all-pairs baseline.
         progress_callback: optional ``(phase, done, total)`` callable, fired
             once when scoring completes (``("pairs_scored", candidates,
             candidates)``) — the dedup counterpart of the matcher's and
@@ -108,9 +108,6 @@ class CandidatePairGenerator:
         statistics = self.statistics
         statistics.total_pairs += size * (size - 1) // 2
         attributes = self.blocking_attributes(relation)
-        plan = self.blocking.plan_report(relation, attributes, self.prepared)
-        if plan is not None:
-            statistics.blocking_plan = plan
         source_values: Optional[List] = None
         if self.cross_source_only and relation.schema.has_column(self.source_column):
             # Zero-copy column fetch — the cross-source rule reads one

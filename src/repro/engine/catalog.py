@@ -52,7 +52,7 @@ class Catalog:
 
     The catalog also owns the :class:`~repro.prepare.store.ArtifactStore`
     holding each source's prepared artifacts (token postings, seeding
-    statistics, planner profiles — see :mod:`repro.prepare`).  Artifacts
+    statistics, field corpora — see :mod:`repro.prepare`).  Artifacts
     share the sources' lifecycle: they are invalidated whenever the source
     is replaced, unregistered or its load cache is dropped, and are rebuilt
     incrementally (only the changed sources) on the next prepare pass.

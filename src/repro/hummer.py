@@ -11,7 +11,7 @@ instead of the historical pile of keyword arguments::
     from repro import DedupConfig, FusionConfig, HumMer, PrepareConfig
 
     hummer = HumMer(config=FusionConfig(
-        dedup=DedupConfig(threshold=0.8, blocking="adaptive"),
+        dedup=DedupConfig(threshold=0.8, blocking="snm", blocking_options={"window": 32}),
         prepare=PrepareConfig(mode="lazy"),
     ))
     hummer.register("EE_Students", ee_rows)
@@ -102,11 +102,11 @@ class HumMer:
         :meth:`prepare` are gone): subsequent queries build, reuse and
         merge per-source artifacts in *mode* (``"lazy"`` or ``"eager"``).
 
-        Four artifact kinds are prepared per source — the blocking token
-        index, the TF-IDF seeding statistics, the planner profile and the
-        SoftTFIDF field corpus — so on a warm run both duplicate detection
-        *and* schema matching skip their per-source tokenisation entirely
-        (see ``docs/matching.md`` for the matching half).
+        Three artifact kinds are prepared per source — the blocking token
+        index, the TF-IDF seeding statistics and the SoftTFIDF field corpus
+        — so on a warm run both duplicate detection *and* schema matching
+        skip their per-source tokenisation entirely (see
+        ``docs/matching.md`` for the matching half).
         """
         if mode is None:
             raise ConfigError('enable_prepare needs "lazy" or "eager"')

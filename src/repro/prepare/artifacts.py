@@ -1,4 +1,4 @@
-"""The four per-source artifact kinds and their builders.
+"""The three per-source artifact kinds and their builders.
 
 An artifact captures the *per-source* half of a pipeline computation — the
 half that reads cell values and therefore dominates preparation-bound phase
@@ -16,7 +16,7 @@ cold code path would compute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dedup.blocking.token import TokenBlocking
 from repro.engine.relation import Relation
@@ -27,15 +27,12 @@ from repro.similarity.tokenize import tokenize
 __all__ = [
     "TOKEN_KIND",
     "SEED_KIND",
-    "PROFILE_KIND",
     "FIELD_KIND",
+    "ARTIFACT_KINDS",
     "TokenPostingsArtifact",
-    "AttributeStatistics",
-    "SourceProfileArtifact",
     "FieldCorpusArtifact",
     "build_token_postings",
     "build_seed_statistics",
-    "build_source_profile",
     "build_field_corpus",
     "token_params_key",
     "seed_params_key",
@@ -45,8 +42,10 @@ __all__ = [
 #: Artifact kind names, used as store keys and counter labels.
 TOKEN_KIND = "token_index"
 SEED_KIND = "seed_statistics"
-PROFILE_KIND = "profile"
 FIELD_KIND = "field_corpus"
+
+#: Every kind a prepare pass builds (or reuses) for each source, in build order.
+ARTIFACT_KINDS = (TOKEN_KIND, SEED_KIND, FIELD_KIND)
 
 
 def token_params_key(strategy: TokenBlocking) -> Tuple:
@@ -99,36 +98,6 @@ class TokenPostingsArtifact:
     def attribute_postings(self, attribute: str) -> Optional[Dict[str, List[int]]]:
         """The token index of one attribute (``None`` when not indexed)."""
         return self.postings.get(attribute.lower())
-
-
-@dataclass
-class AttributeStatistics:
-    """Value statistics of one attribute, mergeable across sources.
-
-    ``distinct`` stores the *string forms* of distinct non-null values —
-    the same ``str(value)`` folding the adaptive planner's profiling uses —
-    so merged distinct counts equal what profiling the combined relation
-    would count.
-    """
-
-    attribute: str
-    non_null: int
-    distinct: Set[str] = field(default_factory=set)
-
-
-@dataclass
-class SourceProfileArtifact:
-    """Per-attribute value statistics of one relation for planner profiling.
-
-    Token-level profiling inputs (block coverage, token counts) come from
-    the :class:`TokenPostingsArtifact` instead of being duplicated here.
-    """
-
-    row_count: int
-    attributes: Dict[str, AttributeStatistics] = field(default_factory=dict)
-
-    def attribute_statistics(self, attribute: str) -> Optional[AttributeStatistics]:
-        return self.attributes.get(attribute.lower())
 
 
 @dataclass
@@ -194,22 +163,3 @@ def build_seed_statistics(
 ) -> SeedStatistics:
     """Whole-tuple TF-IDF statistics for DUMAS seeding (delegates to matching)."""
     return compute_seed_statistics(relation, sample_limit)
-
-
-def build_source_profile(relation: Relation) -> SourceProfileArtifact:
-    """Per-attribute null counts and distinct string values of *relation*."""
-    artifact = SourceProfileArtifact(row_count=len(relation))
-    rows = relation.rows
-    for position, column in enumerate(relation.schema):
-        non_null = 0
-        distinct: Set[str] = set()
-        for values in rows:
-            value = values[position]
-            if is_null(value):
-                continue
-            non_null += 1
-            distinct.add(str(value))
-        artifact.attributes[column.name.lower()] = AttributeStatistics(
-            attribute=column.name, non_null=non_null, distinct=distinct
-        )
-    return artifact

@@ -8,17 +8,14 @@ rebuilding stale ones).  The result is a :class:`PreparedSources` bundle.
 The merge side is :class:`PreparedQueryView`, created per query once the
 combined (outer-unioned) relation exists.  It knows the row offset of every
 source inside the union and the column mapping schema matching induced, and
-merges per-source artifacts into exactly the structures the cold code paths
-would compute over the combined relation:
+merges per-source artifacts into exactly the structure the cold code path
+would compute over the combined relation: the blocking token index, whose
+per-source per-attribute postings are unioned under the combined attributes
+and shifted by the row offsets.
 
-* the blocking token index — per-source per-attribute postings are unioned
-  under the combined attributes and shifted by the row offsets;
-* the planner's :class:`RelationProfile` — null counts add, distinct string
-  sets union, block coverage is recomputed from the merged postings.
-
-Merged structures are *member-identical* to their cold counterparts (same
-sets, same ascending orders, same float operands), so preparing can change
-runtimes but never results.  Cross-source seeding statistics merge inside
+The merged index is *member-identical* to its cold counterpart (same sets,
+same ascending orders), so preparing can change runtimes but never
+results.  Cross-source seeding statistics merge inside
 :meth:`DuplicateSeeder.find_seeds` itself; the bundle only resolves the
 per-source halves.
 
@@ -34,11 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dedup.blocking.adaptive import (
-    AdaptiveBlocking,
-    AttributeProfile,
-    RelationProfile,
-)
 from repro.dedup.blocking.base import BlockingStrategy
 from repro.dedup.blocking.token import TokenBlocking
 from repro.dedup.blocking.union import UnionBlocking
@@ -48,15 +40,12 @@ from repro.matching.duplicate_seed import SeedStatistics
 from repro.matching.transform import SOURCE_ID_COLUMN, apply_correspondences
 from repro.prepare.artifacts import (
     FIELD_KIND,
-    PROFILE_KIND,
     SEED_KIND,
     TOKEN_KIND,
     FieldCorpusArtifact,
-    SourceProfileArtifact,
     TokenPostingsArtifact,
     build_field_corpus,
     build_seed_statistics,
-    build_source_profile,
     build_token_postings,
     field_params_key,
     seed_params_key,
@@ -76,44 +65,41 @@ __all__ = [
 def token_strategy_for(strategy: Optional[BlockingStrategy]) -> TokenBlocking:
     """The token strategy whose parameters artifact building should mirror.
 
-    Walks the blocking graph: a :class:`TokenBlocking` is taken directly, an
-    :class:`AdaptiveBlocking` contributes its internal token strategy, a
-    :class:`UnionBlocking` the first token child.  Any other (or no)
-    strategy yields a stock :class:`TokenBlocking` — artifacts are then
-    still useful for profiling and default token blocking.
+    Walks the blocking graph: a :class:`TokenBlocking` is taken directly, a
+    :class:`UnionBlocking` contributes its first token child.  Any other (or
+    no) strategy yields a stock :class:`TokenBlocking` — artifacts are then
+    still useful for default token blocking.
     """
     if isinstance(strategy, TokenBlocking):
         return strategy
-    if isinstance(strategy, AdaptiveBlocking):
-        return strategy._token
     if isinstance(strategy, UnionBlocking):
         for child in strategy.children:
-            if isinstance(child, (TokenBlocking, AdaptiveBlocking, UnionBlocking)):
+            if isinstance(child, (TokenBlocking, UnionBlocking)):
                 return token_strategy_for(child)
     return TokenBlocking()
 
 
 @dataclass
 class SourceArtifacts:
-    """The four prepared artifacts of one registered source."""
+    """The three prepared artifacts of one registered source."""
 
     alias: str
     relation: Relation
     digest: str
     token: TokenPostingsArtifact
     seeds: SeedStatistics
-    profile: SourceProfileArtifact
     field_corpus: FieldCorpusArtifact
 
 
 class SourcePreparer:
     """Builds (or reuses) the artifacts of registered sources.
 
-    All four artifact kinds are built regardless of the strategy the
-    *current* query uses: artifacts are a per-source investment for an
-    online service, and the next query may block differently (``--blocking
-    adaptive`` after ``snm``) or match a different source pair — gating on
-    today's strategy would just turn those into cold starts.  Callers that
+    All three :data:`~repro.prepare.artifacts.ARTIFACT_KINDS` are built
+    regardless of the strategy the *current* query uses: artifacts are a
+    per-source investment for an online service, and the next query may
+    block differently (``--blocking token`` after ``snm``) or match a
+    different source pair — gating on today's strategy would just turn
+    those into cold starts.  Callers that
     know better can prepare a store directly via
     :meth:`ArtifactStore.get_or_build` with only the kinds they want.
 
@@ -138,7 +124,7 @@ class SourcePreparer:
         self.seed_sample_limit = seed_sample_limit
 
     def prepare(self, aliases: Sequence[str]) -> "PreparedSources":
-        """Ensure all four artifacts exist and are current for every alias."""
+        """Ensure all three artifacts exist and are current for every alias."""
         store = self.catalog.artifacts
         before = store.counters.snapshot()
         bundles: List[SourceArtifacts] = []
@@ -163,14 +149,6 @@ class SourcePreparer:
                 ),
                 digest=digest,
             )
-            profile = store.get_or_build(
-                alias,
-                PROFILE_KIND,
-                (),
-                relation,
-                lambda relation=relation: build_source_profile(relation),
-                digest=digest,
-            )
             field_corpus = store.get_or_build(
                 alias,
                 FIELD_KIND,
@@ -186,15 +164,10 @@ class SourcePreparer:
                     digest=digest,
                     token=token,
                     seeds=seeds,
-                    profile=profile,
                     field_corpus=field_corpus,
                 )
             )
-        return PreparedSources(
-            bundles=bundles,
-            counters=store.counters.diff(before),
-            token_params=token_params_key(self.token_strategy),
-        )
+        return PreparedSources(bundles=bundles, counters=store.counters.diff(before))
 
 
 @dataclass
@@ -203,7 +176,6 @@ class PreparedSources:
 
     bundles: List[SourceArtifacts]
     counters: ArtifactCounters
-    token_params: Tuple = ()
     _by_relation_id: Dict[int, SourceArtifacts] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -318,9 +290,8 @@ class PreparedQueryView:
         """The combined token inverted index, merged from per-source postings.
 
         Returns ``None`` (→ the caller builds cold) when the request is not
-        for this view's combined relation, the artifacts were tokenised with
-        different parameters, or an attribute the artifacts cannot cover
-        (the synthetic ``sourceID``) is requested.
+        for this view's combined relation or an attribute the artifacts
+        cannot cover (the synthetic ``sourceID``) is requested.
         """
         plan = self._merge_plan(relation, attributes)
         if plan is None:
@@ -344,114 +315,15 @@ class PreparedQueryView:
                 )
         return merged
 
-    def merged_profile(
-        self,
-        relation: Relation,
-        attributes: Sequence[str],
-        token_strategy: TokenBlocking,
-        max_attributes: int,
-    ) -> Optional[RelationProfile]:
-        """The planner's :class:`RelationProfile`, merged from stored artifacts.
-
-        Mirrors :func:`repro.dedup.blocking.adaptive.profile_relation`
-        operation for operation (same float operands, same attribute order),
-        so a plan built from a merged profile equals the cold plan.
-        """
-        present = [
-            attribute
-            for attribute in attributes
-            if relation.schema.has_column(attribute)
-        ][:max_attributes]
-        plan = self._merge_plan(relation, present, token_strategy=token_strategy)
-        if plan is None:
-            return None
-        size = len(relation)
-        profile = RelationProfile(
-            tuple_count=size, total_pairs=size * (size - 1) // 2
-        )
-        cap = token_strategy.effective_cap(size)
-        merged_blocks: Dict[str, Set[int]] = {}
-        for position, attribute in enumerate(present):
-            index = self._merged_attribute_index(attribute, position, plan)
-            covered: Set[int] = set()
-            for token, members in index.items():
-                merged_blocks.setdefault(token, set()).update(members)
-                if 2 <= len(members) <= cap:
-                    covered.update(members)
-            non_null = 0
-            distinct: Set[str] = set()
-            for source_index, mapped_attributes in enumerate(plan):
-                mapped = mapped_attributes[position]
-                if mapped is None:
-                    continue
-                statistics = self.prepared.bundles[source_index].profile.attribute_statistics(
-                    mapped
-                )
-                if statistics is None:
-                    continue
-                non_null += statistics.non_null
-                distinct |= statistics.distinct
-            null_rate = 1.0 - (non_null / size) if size else 0.0
-            distinct_ratio = len(distinct) / non_null if non_null else 0.0
-            corruption = 1.0 - (len(covered) / non_null) if non_null >= 2 else 1.0
-            profile.attributes.append(
-                AttributeProfile(
-                    attribute=attribute,
-                    null_rate=null_rate,
-                    distinct_ratio=distinct_ratio,
-                    corruption_estimate=corruption,
-                )
-            )
-        profile.token_count = len(merged_blocks)
-        profile.dropped_block_count = sum(
-            1 for members in merged_blocks.values() if len(members) > cap
-        )
-        kept_sizes = [
-            len(members) for members in merged_blocks.values() if len(members) <= cap
-        ]
-        profile.mean_block_size = (
-            (sum(kept_sizes) / len(kept_sizes)) if kept_sizes else 0.0
-        )
-        return profile
-
-    def _merged_attribute_index(
-        self, attribute: str, position: int, plan: List[List[Optional[str]]]
-    ) -> Dict[str, List[int]]:
-        """Single-attribute combined index (profiling granularity)."""
-        merged: Dict[str, List[int]] = {}
-        for source_index, mapped_attributes in enumerate(plan):
-            mapped = mapped_attributes[position]
-            if mapped is None:
-                continue
-            postings = self.prepared.bundles[source_index].token.attribute_postings(mapped)
-            if not postings:
-                continue
-            offset = self._offsets[source_index]
-            for token, members in postings.items():
-                merged.setdefault(token, []).extend(
-                    member + offset for member in members
-                )
-        return merged
-
     def _merge_plan(
-        self,
-        relation: Relation,
-        attributes: Sequence[str],
-        token_strategy: Optional[TokenBlocking] = None,
+        self, relation: Relation, attributes: Sequence[str]
     ) -> Optional[List[List[Optional[str]]]]:
         """Per source, the mapped source attribute of every requested attribute.
 
-        ``None`` signals "serve nothing, build cold": foreign relation,
-        parameter mismatch, or an unservable attribute.
+        ``None`` signals "serve nothing, build cold": foreign relation or an
+        unservable attribute.
         """
         if relation is not self.combined:
-            return None
-        params = (
-            token_params_key(token_strategy)
-            if token_strategy is not None
-            else self.prepared.token_params
-        )
-        if params != self.prepared.token_params:
             return None
         requested = [attribute.lower() for attribute in attributes]
         if SOURCE_ID_COLUMN.lower() in requested:

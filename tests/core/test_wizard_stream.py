@@ -24,19 +24,15 @@ UNPREPARED = {}
 PREPARED_COLD = {
     "sources": ["crm", "shop"],
     "reused": 0,
-    "rebuilt": 8,
+    "rebuilt": 6,
     "reused_by_kind": {},
-    "rebuilt_by_kind": {
-        "token_index": 2, "seed_statistics": 2, "profile": 2, "field_corpus": 2,
-    },
+    "rebuilt_by_kind": {"token_index": 2, "seed_statistics": 2, "field_corpus": 2},
 }
 PREPARED_WARM = {
     "sources": ["crm", "shop"],
-    "reused": 8,
+    "reused": 6,
     "rebuilt": 0,
-    "reused_by_kind": {
-        "token_index": 2, "seed_statistics": 2, "profile": 2, "field_corpus": 2,
-    },
+    "reused_by_kind": {"token_index": 2, "seed_statistics": 2, "field_corpus": 2},
     "rebuilt_by_kind": {},
 }
 SCHEMA_MATCHING = {

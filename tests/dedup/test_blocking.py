@@ -8,6 +8,7 @@ from repro.dedup.blocking import (
     AllPairsBlocking,
     SortedNeighborhoodBlocking,
     TokenBlocking,
+    UnionBlocking,
     resolve_blocking,
 )
 from repro.dedup.detector import DuplicateDetector
@@ -61,6 +62,62 @@ class TestResolveBlocking:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown blocking strategy"):
             resolve_blocking("sorted")
+
+    def test_deleted_adaptive_planner_is_an_unknown_name(self):
+        message = r"unknown blocking strategy 'adaptive' \(known: allpairs, snm, token, union\)"
+        with pytest.raises(ValueError, match=message):
+            resolve_blocking("adaptive")
+        with pytest.raises(ValueError, match="unknown blocking strategy 'adaptive'"):
+            resolve_blocking("union:snm+adaptive")
+
+
+class TestResolveSpellings:
+    def test_union_resolves_with_default_children(self):
+        strategy = resolve_blocking("union")
+        assert isinstance(strategy, UnionBlocking)
+        assert [child.name for child in strategy.children] == ["snm", "token"]
+
+    def test_union_composite_spelling(self):
+        strategy = resolve_blocking("union:snm+token")
+        assert isinstance(strategy, UnionBlocking)
+        assert [child.name for child in strategy.children] == ["snm", "token"]
+
+    def test_union_composite_single_child(self):
+        strategy = resolve_blocking("union:token")
+        assert [child.name for child in strategy.children] == ["token"]
+
+    def test_union_composite_empty_rejected(self):
+        with pytest.raises(ValueError, match="union blocking spec"):
+            resolve_blocking("union:")
+
+    def test_union_composite_unknown_child_rejected(self):
+        with pytest.raises(ValueError, match="unknown blocking strategy"):
+            resolve_blocking("union:snm+bogus")
+
+    def test_union_composite_with_options_rejected(self):
+        with pytest.raises(ValueError, match="composite union spec"):
+            resolve_blocking("union:snm+token", window=4)
+
+    def test_union_needs_a_child(self):
+        with pytest.raises(ValueError, match="at least one child"):
+            UnionBlocking([])
+
+
+class TestUnionBlocking:
+    def test_union_is_superset_of_children(self, people):
+        attributes = ["name", "city"]
+        snm = SortedNeighborhoodBlocking(window=2)
+        token = TokenBlocking()
+        union = UnionBlocking([snm, token])
+        union_pairs = set(union.pairs(people, attributes))
+        assert set(snm.pairs(people, attributes)) <= union_pairs
+        assert set(token.pairs(people, attributes)) <= union_pairs
+
+    def test_union_dedups_and_orders_pairs(self, people):
+        union = UnionBlocking(["snm", "token"])
+        pairs = list(union.pairs(people, ["name", "city"]))
+        assert len(pairs) == len(set(pairs))
+        assert all(i < j for i, j in pairs)
 
 
 class TestAllPairsBlocking:

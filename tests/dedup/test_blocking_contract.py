@@ -1,6 +1,6 @@
 """Property-based tests for the blocking contract.
 
-Every strategy — including the union and adaptive composites — must honour
+Every strategy — including the union composite — must honour
 the :class:`~repro.dedup.blocking.base.BlockingStrategy` contract on *any*
 relation:
 
@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dedup.blocking import (
-    AdaptiveBlocking,
     AllPairsBlocking,
     SortedNeighborhoodBlocking,
     TokenBlocking,
@@ -65,8 +64,6 @@ STRATEGY_FACTORIES = {
     "token": TokenBlocking,
     "token-qgram": lambda: TokenBlocking(qgram=3, max_block_size=10),
     "union": lambda: UnionBlocking(["snm", "token"]),
-    "adaptive": lambda: AdaptiveBlocking(small_threshold=6, window_ladder=(2, 4)),
-    "adaptive-escalated": lambda: AdaptiveBlocking(small_threshold=0, window_ladder=(2, 3)),
 }
 
 ATTRIBUTES = ["name", "city", "age"]
@@ -116,23 +113,3 @@ def test_union_proposes_exactly_the_union_of_its_children(relation):
     expected = set(snm.pairs(relation, ATTRIBUTES)) | set(token.pairs(relation, ATTRIBUTES))
     assert set(union.pairs(relation, ATTRIBUTES)) == expected
 
-
-@CONTRACT_SETTINGS
-@given(relation=relations())
-def test_adaptive_delegates_to_its_planned_strategy(relation):
-    strategy = AdaptiveBlocking(small_threshold=6, window_ladder=(2, 4))
-    plan = strategy.plan(relation, ATTRIBUTES)
-    assert set(strategy.pairs(relation, ATTRIBUTES)) == set(
-        plan.strategy.pairs(relation, ATTRIBUTES)
-    )
-
-
-@CONTRACT_SETTINGS
-@given(relation=relations())
-def test_adaptive_small_inputs_keep_perfect_candidate_recall(relation):
-    # At or below the size threshold the planner must pick the exact
-    # baseline: every i < j pair is proposed.
-    strategy = AdaptiveBlocking(small_threshold=len(relation))
-    size = len(relation)
-    expected = {(i, j) for i in range(size) for j in range(i + 1, size)}
-    assert set(strategy.pairs(relation, ATTRIBUTES)) == expected

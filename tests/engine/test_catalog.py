@@ -143,11 +143,11 @@ class TestReplaceOrdering:
         assert catalog.fetch("alpha").column("x") == [3]
 
     def test_replace_invalidates_prepared_artifacts(self):
-        from repro.prepare import SourcePreparer
+        from repro.prepare import ARTIFACT_KINDS, SourcePreparer
 
         catalog = Catalog()
         catalog.register("numbers", [{"x": 1}])
         SourcePreparer(catalog).prepare(["numbers"])
-        assert len(catalog.artifacts) == 4
+        assert len(catalog.artifacts) == len(ARTIFACT_KINDS)
         catalog.register("numbers", [{"x": 2}], replace=True)
         assert len(catalog.artifacts) == 0

@@ -2,16 +2,15 @@
 
 These are the load-bearing guarantees of the prepared-source layer: the
 merged token index is *member-identical* (same tokens, same ascending row
-lists) to tokenising the outer-unioned relation from scratch, and the merged
-planner profile carries exactly the statistics cold profiling computes —
-so preparing can change runtimes but never results.
+lists) to tokenising the outer-unioned relation from scratch, and the
+prebuilt seeding statistics equal the cold computation — so preparing can
+change runtimes but never results.
 """
 
 import pytest
 
 from repro.datagen.corruptor import CorruptionConfig
 from repro.datagen.scenarios import students_scenario
-from repro.dedup.blocking.adaptive import profile_relation
 from repro.dedup.blocking.token import TokenBlocking
 from repro.dedup.descriptions import select_interesting_attributes
 from repro.engine.catalog import Catalog
@@ -65,43 +64,6 @@ class TestTokenIndexMerge:
     def test_source_id_attribute_is_declined(self, prepared_setup):
         _, view, combined, attributes = prepared_setup
         assert view.token_index(combined, list(attributes) + ["sourceID"]) is None
-
-    def test_parameter_mismatch_is_declined(self, prepared_setup):
-        _, view, combined, attributes = prepared_setup
-        qgram_strategy = TokenBlocking(qgram=3)
-        assert (
-            view.merged_profile(combined, attributes, qgram_strategy, 4) is None
-        )
-
-
-class TestProfileMerge:
-    def test_merged_profile_equals_cold_profile(self, prepared_setup):
-        _, view, combined, attributes = prepared_setup
-        token_strategy = TokenBlocking()
-        merged = view.merged_profile(combined, attributes, token_strategy, 4)
-        cold = profile_relation(
-            combined, attributes, token_strategy=token_strategy, max_attributes=4
-        )
-        assert merged is not None
-        assert merged.tuple_count == cold.tuple_count
-        assert merged.total_pairs == cold.total_pairs
-        assert merged.token_count == cold.token_count
-        assert merged.dropped_block_count == cold.dropped_block_count
-        assert merged.mean_block_size == cold.mean_block_size
-        assert len(merged.attributes) == len(cold.attributes)
-        for merged_attr, cold_attr in zip(merged.attributes, cold.attributes):
-            assert merged_attr.attribute == cold_attr.attribute
-            # exact float equality: same operands, same operations
-            assert merged_attr.null_rate == cold_attr.null_rate
-            assert merged_attr.distinct_ratio == cold_attr.distinct_ratio
-            assert merged_attr.corruption_estimate == cold_attr.corruption_estimate
-        assert merged.corruption_estimate == cold.corruption_estimate
-
-    def test_merged_profile_respects_attribute_cap(self, prepared_setup):
-        _, view, combined, attributes = prepared_setup
-        merged = view.merged_profile(combined, attributes, TokenBlocking(), 2)
-        assert merged is not None
-        assert len(merged.attributes) == min(2, len(attributes))
 
 
 class TestSeedStatisticsLookup:

@@ -7,6 +7,10 @@ from repro.datagen.corruptor import CorruptionConfig
 from repro.datagen.scenarios import students_scenario
 from repro.exceptions import ConfigError
 from repro.hummer import HumMer
+from repro.prepare import ARTIFACT_KINDS
+
+#: Artifacts one prepare pass builds (or reuses) per source.
+PER_SOURCE = len(ARTIFACT_KINDS)
 
 
 @pytest.fixture(scope="module")
@@ -14,9 +18,9 @@ def dataset():
     return students_scenario(entity_count=60, corruption=CorruptionConfig.low(), seed=41)
 
 
-def build_hummer(dataset, prepare=None, blocking=None, artifact_dir=None, blocking_options=None):
+def build_hummer(dataset, prepare=None, blocking=None, artifact_dir=None):
     config = FusionConfig(
-        dedup=DedupConfig(blocking=blocking, blocking_options=blocking_options or {}),
+        dedup=DedupConfig(blocking=blocking),
         prepare=PrepareConfig(mode=prepare, artifact_dir=artifact_dir),
     )
     hummer = HumMer(config=config)
@@ -42,9 +46,10 @@ class TestWarmRuns:
         aliases = list(dataset.sources)
         first = hummer.fuse(aliases)
         second = hummer.fuse(aliases)
-        assert first.summary()["artifacts_rebuilt"] == 4 * len(aliases)
+        assert first.summary()["artifacts_rebuilt"] == PER_SOURCE * len(aliases)
+        assert set(first.prepared["rebuilt_by_kind"]) == set(ARTIFACT_KINDS)
         assert second.summary()["artifacts_rebuilt"] == 0
-        assert second.summary()["artifacts_reused"] == 4 * len(aliases)
+        assert second.summary()["artifacts_reused"] == PER_SOURCE * len(aliases)
 
     def test_summary_reports_match_artifact_reuse(self, dataset):
         """ISSUE 6: the summary breaks out the matching-specific artifacts."""
@@ -69,7 +74,7 @@ class TestWarmRuns:
             (s.left_index, s.right_index, s.similarity) for s in cold.detection.scores
         ] == [(s.left_index, s.right_index, s.similarity) for s in warm.detection.scores]
 
-    @pytest.mark.parametrize("blocking", ["token", "adaptive"])
+    @pytest.mark.parametrize("blocking", ["token", "union:snm+token"], ids=["token", "union"])
     def test_prepared_run_matches_unprepared_run(self, dataset, blocking):
         aliases = list(dataset.sources)
         unprepared = build_hummer(dataset, blocking=blocking).fuse(aliases)
@@ -82,13 +87,13 @@ class TestWarmRuns:
         # registration already built everything: the first fuse is warm
         result = hummer.fuse(aliases)
         assert result.summary()["artifacts_rebuilt"] == 0
-        assert result.summary()["artifacts_reused"] == 4 * len(aliases)
+        assert result.summary()["artifacts_reused"] == PER_SOURCE * len(aliases)
 
     def test_enable_prepare_then_prepare_call_enables_reuse(self, dataset):
         hummer = build_hummer(dataset)  # no mode at construction
         hummer.enable_prepare("lazy")
         report = hummer.prepare()
-        assert report["rebuilt"] == 4 * len(dataset.sources)
+        assert report["rebuilt"] == PER_SOURCE * len(dataset.sources)
         result = hummer.fuse(list(dataset.sources))
         assert result.summary()["artifacts_rebuilt"] == 0
 
@@ -111,8 +116,8 @@ class TestInvalidation:
         replaced = aliases[0]
         hummer.register(replaced, dataset.sources[replaced], replace=True)
         result = hummer.fuse(aliases)
-        assert result.summary()["artifacts_rebuilt"] == 4
-        assert result.summary()["artifacts_reused"] == 4 * (len(aliases) - 1)
+        assert result.summary()["artifacts_rebuilt"] == PER_SOURCE
+        assert result.summary()["artifacts_reused"] == PER_SOURCE * (len(aliases) - 1)
 
     def test_replaced_data_is_never_served_stale(self, dataset):
         """New rows must flow into candidates and IDF, not the old artifacts."""
@@ -146,7 +151,7 @@ class TestInvalidation:
         hummer.fuse(aliases)
         hummer.catalog.invalidate(aliases[0])
         result = hummer.fuse(aliases)
-        assert result.summary()["artifacts_rebuilt"] == 4
+        assert result.summary()["artifacts_rebuilt"] == PER_SOURCE
 
     def test_unregister_drops_artifacts(self, dataset):
         hummer = build_hummer(dataset, prepare="lazy")
@@ -154,7 +159,7 @@ class TestInvalidation:
         hummer.fuse(aliases)
         before = len(hummer.catalog.artifacts)
         hummer.unregister(aliases[0])
-        assert len(hummer.catalog.artifacts) == before - 4
+        assert len(hummer.catalog.artifacts) == before - PER_SOURCE
 
 
 class TestPersistence:
@@ -162,7 +167,7 @@ class TestPersistence:
         aliases = list(dataset.sources)
         first = build_hummer(dataset, prepare="lazy", artifact_dir=str(tmp_path))
         cold = first.fuse(aliases)
-        assert cold.summary()["artifacts_rebuilt"] == 4 * len(aliases)
+        assert cold.summary()["artifacts_rebuilt"] == PER_SOURCE * len(aliases)
 
         # a new process would construct a fresh HumMer over the same directory
         second = build_hummer(dataset, prepare="lazy", artifact_dir=str(tmp_path))
@@ -198,12 +203,12 @@ class TestQueryPath:
         statement = f"SELECT * FUSE FROM {', '.join(aliases)}"
         cold = hummer.query(statement)
         counters = hummer.catalog.artifacts.counters
-        assert counters.total_rebuilt == 4 * len(aliases)
+        assert counters.total_rebuilt == PER_SOURCE * len(aliases)
         snapshot = counters.snapshot()
         warm = hummer.query(statement)
         delta = counters.diff(snapshot)
         assert delta.total_rebuilt == 0
-        assert delta.total_reused == 4 * len(aliases)
+        assert delta.total_reused == PER_SOURCE * len(aliases)
         assert warm.rows == cold.rows
 
     def test_filtered_query_matches_unprepared_result(self, dataset):
@@ -221,13 +226,12 @@ class TestQueryPath:
 
 
 def count_cold_builds(monkeypatch):
-    """Call counts of the four cold builders a warm run must skip."""
-    import repro.dedup.blocking.adaptive as adaptive_module
+    """Call counts of the three cold builders a warm run must skip."""
     import repro.matching.dumas as dumas_module
     import repro.matching.duplicate_seed as seed_module
     from repro.dedup.blocking.token import TokenBlocking
 
-    calls = {"seed_statistics": 0, "field_corpus": 0, "token_index": 0, "profile": 0}
+    calls = {"seed_statistics": 0, "field_corpus": 0, "token_index": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -250,14 +254,10 @@ def count_cold_builds(monkeypatch):
     monkeypatch.setattr(
         TokenBlocking, "build_index", counting("token_index", TokenBlocking.build_index)
     )
-    monkeypatch.setattr(
-        adaptive_module, "profile_relation",
-        counting("profile", adaptive_module.profile_relation),
-    )
     return calls
 
 
-NO_COLD_BUILDS = {"seed_statistics": 0, "field_corpus": 0, "token_index": 0, "profile": 0}
+NO_COLD_BUILDS = {"seed_statistics": 0, "field_corpus": 0, "token_index": 0}
 
 
 class TestWarmRunComputesNothingCold:
@@ -270,24 +270,12 @@ class TestWarmRunComputesNothingCold:
     fusion query must call none of them.
     """
 
-    @pytest.mark.parametrize(
-        "blocking, options, plan",
-        [
-            ("token", {}, None),
-            ("adaptive", {"small_threshold": 10}, "snm"),
-            ("adaptive", {"small_threshold": 10, "corruption_threshold": 0.0}, "union"),
-        ],
-        ids=["token", "adaptive-snm", "adaptive-union"],
-    )
-    def test_first_fuse_after_eager_registration(
-        self, dataset, monkeypatch, blocking, options, plan
-    ):
-        hummer = build_hummer(
-            dataset, prepare="eager", blocking=blocking, blocking_options=options
-        )
+    @pytest.mark.parametrize("blocking", ["token", "union:snm+token"], ids=["token", "union"])
+    def test_first_fuse_after_eager_registration(self, dataset, monkeypatch, blocking):
+        # the union's token child reads the merged index like plain token blocking
+        hummer = build_hummer(dataset, prepare="eager", blocking=blocking)
         cold_builds = count_cold_builds(monkeypatch)
-        result = hummer.fuse(list(dataset.sources))
-        assert result.summary().get("blocking_plan") == plan
+        hummer.fuse(list(dataset.sources))
         assert cold_builds == NO_COLD_BUILDS
 
     def test_first_query_after_eager_registration(self, dataset, monkeypatch):

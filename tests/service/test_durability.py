@@ -106,6 +106,70 @@ class TestRestartRecovery:
             assert ServiceClient(second.base_url).tenants() == []
 
 
+#: A persisted artifact of the deleted ``profile`` kind: a pickle whose
+#: artifact class no longer exists, so loading it would fail.
+LEGACY_PROFILE_PICKLE = (
+    b"(dp0\nVdigest\np1\nVstale\np2\nsVartifact\np3\n"
+    b"crepro.prepare.artifacts\nSourceProfileArtifact\np4\ns."
+)
+
+
+class TestDataDirsWrittenBeforeThePlannerDeletion:
+    """Data dirs from before the adaptive planner and its profile artifact."""
+
+    def test_tenant_configured_with_adaptive_blocking_is_a_recovery_error(
+        self, tmp_path, golden_csv
+    ):
+        from repro.service.journal import TenantJournal, tenant_dirname
+
+        data_dir = tmp_path / "state"
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as first:
+            client = ServiceClient(first.base_url)
+            client.create_tenant("current")
+            upload_golden(client, golden_csv)
+        # a library caller created this tenant with the planner configured
+        legacy_dir = data_dir / "tenants" / tenant_dirname("legacy")
+        TenantJournal(legacy_dir / "journal.jsonl").append({
+            "record": "tenant",
+            "tenant": "legacy",
+            "config": {"dedup": {"blocking": "adaptive"}},
+        })
+
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as second:
+            client = ServiceClient(second.base_url, tenant="current")
+            recovery = client.stats()["recovery"]
+            assert recovery["tenants"] == 1
+            assert len(recovery["errors"]) == 1
+            assert "unknown blocking strategy 'adaptive'" in recovery["errors"][0]
+            assert client.tenants() == ["current"]
+            assert client.sources() == ["crm", "shop"]
+
+    def test_stale_profile_pickle_is_never_read_and_goes_with_its_alias(
+        self, tmp_path, golden_csv
+    ):
+        data_dir = tmp_path / "state"
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as first:
+            client = ServiceClient(first.base_url)
+            client.create_tenant("warm")
+            aliases = upload_golden(client, golden_csv)
+            assert client.prepare(mode="lazy")["rebuilt"] == 3 * len(aliases)
+        (artifact_dir,) = (data_dir / "tenants").glob("*/artifacts")
+        crm_prefix = next(artifact_dir.glob("crm-*__token_index__*.pkl")).name.split("__")[0]
+        legacy = artifact_dir / f"{crm_prefix}__profile__0123456789ab.pkl"
+        legacy.write_bytes(LEGACY_PROFILE_PICKLE)
+
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as second:
+            client = ServiceClient(second.base_url, tenant="warm")
+            assert client.stats()["recovery"]["errors"] == []
+            report = client.prepare()
+            assert report["rebuilt"] == 0
+            assert report["reused"] == 3 * len(aliases)
+            assert legacy.exists()
+            # replacing the source invalidates its alias, stale kinds included
+            client.upload_csv("crm", golden_csv["crm"], replace=True)
+            assert not legacy.exists()
+
+
 class TestKillAndRestart:
     """The acceptance e2e: SIGKILL mid-wizard, restart, resume server-side."""
 

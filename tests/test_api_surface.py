@@ -24,7 +24,7 @@ import repro.dedup.graphcluster
 from repro.config import DedupConfig, FusionConfig, PrepareConfig
 from repro.core.pipeline import FusionPipeline
 from repro.core.session import FusionSession
-from repro.dedup.blocking import AdaptiveBlocking, BlockingStrategy, TokenBlocking
+from repro.dedup.blocking import BlockingStrategy, TokenBlocking
 from repro.dedup.detector import DuplicateDetector
 from repro.exceptions import ConfigError
 from repro.hummer import HumMer
@@ -174,7 +174,6 @@ SIGNATURES = {
         "self", "left", "right", "prepared", "progress_callback", "scoring",
     ],
     "BlockingStrategy.pairs": ["self", "relation", "attributes", "prepared"],
-    "BlockingStrategy.plan_report": ["self", "relation", "attributes", "prepared"],
 }
 
 OWNERS = {
@@ -264,7 +263,6 @@ class TestRemovedSurface:
             (DumasMatcher(), ["progress_callback", "field_corpus_provider"]),
             (DuplicateSeeder(), ["progress_callback", "scoring_listener", "statistics_provider"]),
             (TokenBlocking(), ["index_provider"]),
-            (AdaptiveBlocking(), ["profile_provider"]),
         ]:
             for attribute in attributes:
                 assert not hasattr(component, attribute), (component, attribute)
@@ -277,6 +275,38 @@ class TestRemovedSurface:
             (PreparedQueryView, "_install"),
         ]:
             assert not hasattr(owner, attribute), (owner, attribute)
+
+    def test_adaptive_planner_is_gone(self):
+        """Blocking strategies only propose pairs: the planner, its profile
+        artifact and the plan report that carried its decision are deleted."""
+        import dataclasses
+
+        import repro.dedup
+        import repro.dedup.blocking
+        import repro.prepare
+        from repro.dedup.filters import FilterStatistics
+
+        for module, names in [
+            (repro.dedup, ["AdaptiveBlocking", "BlockingPlan", "profile_relation"]),
+            (
+                repro.dedup.blocking,
+                ["AdaptiveBlocking", "BlockingPlan", "RelationProfile",
+                 "AttributeProfile", "profile_relation", "format_plan_report"],
+            ),
+            (
+                repro.prepare,
+                ["PROFILE_KIND", "AttributeStatistics", "SourceProfileArtifact",
+                 "build_source_profile"],
+            ),
+        ]:
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in module.__all__, (module.__name__, name)
+        assert "adaptive" not in repro.dedup.blocking.BLOCKING_STRATEGIES
+        assert not hasattr(BlockingStrategy, "plan_report")
+        assert not hasattr(PreparedQueryView, "merged_profile")
+        assert "blocking_plan" not in {f.name for f in dataclasses.fields(FilterStatistics)}
+        assert "blocking_plan" not in FilterStatistics().as_dict()
 
     def test_evaluation_keeps_only_metrics(self):
         import repro.evaluation

@@ -7,6 +7,7 @@ construction-time validation that replaced the scattered ``ValueError``\\ s.
 """
 
 import json
+import re
 
 import pytest
 
@@ -107,6 +108,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown blocking strategy"):
             DedupConfig(blocking="sorted")
 
+    def test_deleted_adaptive_planner_is_an_unknown_name(self):
+        message = r"unknown blocking strategy 'adaptive' \(known: allpairs, snm, token, union\)"
+        with pytest.raises(ConfigError, match=message):
+            DedupConfig(blocking="adaptive")
+        with pytest.raises(ConfigError, match=message):
+            FusionConfig.from_dict({"dedup": {"blocking": "adaptive"}})
+
     def test_bad_blocking_option(self):
         with pytest.raises(ConfigError):
             DedupConfig(blocking="snm", blocking_options={"windowsill": 4})
@@ -160,6 +168,81 @@ class TestValidation:
     def test_bad_resolution_shape(self):
         with pytest.raises(ConfigError, match="resolution for column"):
             ResolutionConfig(resolutions={"Age": 3})
+
+
+#: Wrongly typed values for every field of every section.  ``True`` is an
+#: ``int`` in Python and ``"false"`` is a truthy string, so both used to pass
+#: silently with the wrong meaning; ``"0.5"`` thresholds and ``[]``
+#: resolutions failed with errors that did not name the field.
+WRONGLY_TYPED = {
+    "matching": {
+        "max_seeds": [2.5, True],
+        "min_seed_similarity": ["0.3"],
+        "correspondence_threshold": [None],
+        "use_name_fallback": ["false"],
+    },
+    "dedup": {
+        "threshold": ["0.5", True],
+        "uncertainty_band": [True],
+        "use_filter": [1, "false"],
+        "cross_source_only": ["false"],
+        "accept_unsure": ["false"],
+        "keep_evidence": [None, "false"],
+        "blocking": [5],
+        "blocking_options": [["window", 4]],
+        "clustering": [["graph"]],
+        "clustering_options": ["min_cohesion=0.5"],
+    },
+    "prepare": {"mode": [1], "artifact_dir": [["state"]]},
+    "resolution": {"resolutions": [[]], "key_columns": ["name", ["name", 3]]},
+}
+
+SECTION_CLASSES = {
+    "matching": MatchingConfig,
+    "dedup": DedupConfig,
+    "prepare": PrepareConfig,
+    "resolution": ResolutionConfig,
+}
+
+
+class TestFieldTypes:
+    """Every section checks its fields' types and names the failing field."""
+
+    def test_every_field_has_a_wrongly_typed_case(self):
+        import dataclasses
+
+        for section, section_class in SECTION_CLASSES.items():
+            assert set(WRONGLY_TYPED[section]) == {
+                f.name for f in dataclasses.fields(section_class)
+            }, section
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            (section, name, value)
+            for section, fields in WRONGLY_TYPED.items()
+            for name, values in fields.items()
+            for value in values
+        ],
+    )
+    def test_wrong_type_is_a_config_error_naming_the_field(self, section, name, value):
+        expected = f"{section}.{name} must be .*, got {re.escape(repr(value))}"
+        with pytest.raises(ConfigError, match=expected):
+            FusionConfig.from_dict({section: {name: value}})
+        with pytest.raises(ConfigError, match=expected):
+            SECTION_CLASSES[section](**{name: value})
+        with pytest.raises(ConfigError, match=expected):
+            FusionConfig().merged({section: {name: value}})
+
+    def test_numbers_accept_ints_and_key_columns_accept_lists(self):
+        config = FusionConfig.from_dict({
+            "matching": {"min_seed_similarity": 0, "correspondence_threshold": 1},
+            "dedup": {"threshold": 1, "uncertainty_band": 0},
+            "resolution": {"key_columns": ["name"]},
+        })
+        assert config.dedup.threshold == 1
+        assert config.resolution.key_columns == ("name",)
+        assert FusionConfig.from_dict(config.to_dict()) == config
 
 
 class TestBuilders:
