@@ -14,6 +14,7 @@ against the per-pair reference loop: bit-identical scores, a 2× floor at 5k
 entities.
 """
 
+import gc
 import json
 import time
 
@@ -207,11 +208,7 @@ def score_columnar(measure, relation, pairs):
 
     Returns ``(scores, considered, pruned)``.
     """
-    attributes = measure.fitted_attributes
-    scorer = measure.columnar_scorer(
-        {attribute: relation.column(attribute) for attribute in attributes},
-        {attribute: relation.null_mask(attribute) for attribute in attributes},
-    )
+    scorer = measure.columnar_scorer(relation)
     survivors = [
         pair for pair in pairs if scorer.upper_bound(*pair) >= COLUMNAR_THRESHOLD
     ]
@@ -466,15 +463,22 @@ def test_e4_warm_vs_cold(benchmark, request):
     assert view is not None
     attributes = list(select_interesting_attributes(combined).attributes)
 
+    # Best of 3, alternating, with a collection before each call: the cold
+    # build tokenises each distinct cell once, so both sides are mostly the
+    # shared pair enumeration, and one full garbage-collection pass landing
+    # in either timed region decided single measurements.
     cold_strategy = TokenBlocking()
-    started = time.perf_counter()
-    cold_candidates = sum(1 for _ in cold_strategy.pairs(combined, attributes))
-    candidates_cold_s = time.perf_counter() - started
-
     warm_strategy = TokenBlocking()
-    started = time.perf_counter()
-    warm_candidates = sum(1 for _ in warm_strategy.pairs(combined, attributes, view))
-    candidates_warm_s = time.perf_counter() - started
+    candidates_cold_s = candidates_warm_s = float("inf")
+    for _ in range(3):
+        gc.collect()
+        started = time.perf_counter()
+        cold_candidates = sum(1 for _ in cold_strategy.pairs(combined, attributes))
+        candidates_cold_s = min(candidates_cold_s, time.perf_counter() - started)
+        gc.collect()
+        started = time.perf_counter()
+        warm_candidates = sum(1 for _ in warm_strategy.pairs(combined, attributes, view))
+        candidates_warm_s = min(candidates_warm_s, time.perf_counter() - started)
     assert warm_candidates == cold_candidates
 
     rows.append((entities, len(combined), "seed discovery", seed_cold_s, seed_warm_s,
@@ -501,7 +505,7 @@ def test_e4_warm_vs_cold(benchmark, request):
     )
 
     # the acceptance bar: candidate generation measurably faster warm (the
-    # merged index skips tokenisation outright, ~2.5-3x here), and seed
+    # merged index skips tokenisation outright, 1.1-2x here), and seed
     # discovery proved tokenisation-free above — its wall-clock saving is
     # real but small relative to the warm/cold-invariant pair scoring, so it
     # is reported (table + JSON) rather than asserted, to keep CI stable.

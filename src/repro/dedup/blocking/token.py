@@ -17,6 +17,7 @@ import math
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.dedup.blocking.base import BlockingStrategy
+from repro.engine.columnar import encode
 from repro.engine.relation import Relation
 from repro.similarity.tokenize import qgrams, tokenize
 
@@ -92,36 +93,28 @@ class TokenBlocking(BlockingStrategy):
     ) -> Dict[str, List[int]]:
         """Token → sorted tuple indices, before frequency capping.
 
-        Columnar build: the blocking attributes are fetched once as zero-copy
-        column lists (with their cached null masks) — no row tuple or
-        :class:`Row` view is materialised per tuple.  Iteration stays
-        rows-outer so token postings (and therefore candidate emission order)
-        are identical to the row-at-a-time build, and tokenisation is
-        memoised per distinct cell value: repeated values — the norm in
-        real columns — tokenise once per relation instead of once per row.
+        Columnar build over a dictionary of each blocking attribute
+        (:func:`~repro.engine.columnar.encode`, the rule of
+        :meth:`Relation.dictionary <repro.engine.relation.Relation.dictionary>`):
+        every distinct cell is tokenised once, and a row reads its cells'
+        token sets by code — no row tuple or :class:`Row` view is
+        materialised.  The dictionary is encoded afresh on every call, so a
+        relation mutated in place is indexed as it now is.  Iteration stays
+        rows-outer, with each row's token set unioned in attribute order, so
+        token postings (and therefore candidate emission order) are
+        identical to the row-at-a-time build.
         """
         index: Dict[str, List[int]] = {}
-        positions = self.key_values(relation, attributes)
-        columns = [relation.column_at(position) for _, position in positions]
-        masks = [relation.null_mask(attribute) for attribute, _ in positions]
-        token_cache: Dict = {}
+        encoded = []
+        for attribute, position in self.key_values(relation, attributes):
+            values, _, codes = encode(relation.column_at(position), relation.null_mask(attribute))
+            encoded.append(([self.tokens(value) for value in values], codes))
         for row_index in range(len(relation)):
             row_tokens: Set[str] = set()
-            for column, mask in zip(columns, masks):
-                if mask[row_index]:
-                    continue
-                value = column[row_index]
-                try:
-                    # Type-aware key: True == 1 but str(True) != str(1), so
-                    # cross-type equal cells must not share a cache entry.
-                    key = (value.__class__, value)
-                    cached = token_cache.get(key)
-                    if cached is None:
-                        cached = self.tokens(value)
-                        token_cache[key] = cached
-                except TypeError:  # unhashable cell value
-                    cached = self.tokens(value)
-                row_tokens.update(cached)
+            for tokens, codes in encoded:
+                code = codes[row_index]
+                if code >= 0:
+                    row_tokens.update(tokens[code])
             for token in row_tokens:
                 index.setdefault(token, []).append(row_index)
         return index

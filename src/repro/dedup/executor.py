@@ -3,9 +3,9 @@
 Blocking decides *which* pairs duplicate detection looks at; this module
 filters and scores them.  Scoring runs in the calling process through the
 measure's :class:`~repro.dedup.similarity_measure.ColumnarPairScorer`: the
-upper-bound filter reads per-row trigram sets, and the surviving pairs are
-scored attribute-major in one call, bit-identical to the per-pair loop of
-``upper_bound`` plus ``compare_rows`` / ``explain_rows``.
+upper-bound filter reads per-row unions of per-cell trigram sets, and the
+surviving pairs are scored attribute-major in one call, bit-identical to the
+per-pair loop of ``upper_bound`` plus ``compare_rows`` / ``explain_rows``.
 
 :class:`SerialExecutor` stays a class with a ``score_pairs(generator,
 relation)`` method because ``hummerbench/layers.py`` wraps that attribute to
@@ -38,12 +38,7 @@ class SerialExecutor:
         ``generator.statistics`` and fires ``("pairs_scored", n, n)`` on the
         generator's progress callback once, after scoring.
         """
-        measure = generator.measure
-        attributes = measure.fitted_attributes
-        scorer = measure.columnar_scorer(
-            {attribute: relation.column(attribute) for attribute in attributes},
-            {attribute: relation.null_mask(attribute) for attribute in attributes},
-        )
+        scorer = generator.measure.columnar_scorer(relation)
         candidates = list(generator.candidate_indices(relation))
         survivors = candidates
         if generator.filter.enabled:

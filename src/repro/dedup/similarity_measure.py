@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dedup.descriptions import AttributeSelection
 from repro.engine.relation import Relation
@@ -96,7 +96,6 @@ class DuplicateSimilarityMeasure:
         self._numeric_scales: Dict[str, float] = {}
         self._row_count = 0
         self._positions: Dict[str, int] = {}
-        self._trigram_cache: Dict[int, frozenset] = {}
 
     # -- fitting -----------------------------------------------------------------
 
@@ -111,18 +110,17 @@ class DuplicateSimilarityMeasure:
                 continue
             position = relation.schema.position(attribute)
             self._positions[attribute] = position
+            # One pass over the column's distinct cells; their min and max
+            # are the cells' min and max.
+            values, counts, _ = relation.dictionary(attribute)
             counter: Counter = Counter()
-            numeric_values: List[float] = []
-            # Columnar fit: one zero-copy column fetch plus its cached null
-            # mask, instead of materialising every row tuple per attribute.
-            column = relation.column_at(position)
-            mask = relation.null_mask(attribute)
-            for value, null in zip(column, mask):
-                if null:
-                    continue
-                counter[self._normalise(value)] += 1
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    numeric_values.append(float(value))
+            for value, count in zip(values, counts):
+                counter[self._normalise(value)] += count
+            numeric_values = [
+                float(value)
+                for value in values
+                if isinstance(value, (int, float)) and not isinstance(value, bool)
+            ]
             self._value_frequencies[attribute] = counter
             if len(numeric_values) >= 2:
                 value_range = max(numeric_values) - min(numeric_values)
@@ -194,7 +192,7 @@ class DuplicateSimilarityMeasure:
         """Per-attribute similarity: range-scaled for numbers, sharpened overall.
 
         *values* scores the pairs that are not range-scaled; the columnar
-        scorer passes :func:`value_similarity` over its memoised prepared
+        scorer passes :func:`prepared_similarity` over its per-code prepared
         cells.
         """
         both_numeric = (
@@ -217,13 +215,15 @@ class DuplicateSimilarityMeasure:
         """Cheap estimate meant to bound :meth:`compare_rows` from above.
 
         Character-trigram overlap of the whole tuples, plus a constant slack:
-        typo'd duplicates still share most of their trigrams.  Trigram sets
-        are cached per row, so the estimate is an order of magnitude cheaper
-        than the full comparison — this is the "filter (upper bound to the
-        similarity measure)" of §2.3.  It is not a true bound: dates and
-        numbers are compared by distance, not characters, so ``1999-12-31``
-        vs ``2000-01-01`` scores 0.993 but estimates 0.300, and ages 30 vs 31
-        over a range of 50 score 0.779 but estimate 0.633.
+        typo'd duplicates still share most of their trigrams.  The batch
+        scorer keeps one trigram set per distinct cell, so there the estimate
+        is an order of magnitude cheaper than the full comparison — this is
+        the "filter (upper bound to the similarity measure)" of §2.3; this
+        per-pair reference derives both rows' sets afresh on every call.  It
+        is not a true bound: dates and numbers are compared by distance, not
+        characters, so ``1999-12-31`` vs ``2000-01-01`` scores 0.993 but
+        estimates 0.300, and ages 30 vs 31 over a range of 50 score 0.779 but
+        estimate 0.633.
         """
         left_grams = self._row_trigrams(left)
         right_grams = self._row_trigrams(right)
@@ -236,42 +236,24 @@ class DuplicateSimilarityMeasure:
 
     # -- batched columnar scoring ----------------------------------------------------
 
-    def columnar_scorer(
-        self,
-        columns: Mapping[str, List],
-        null_masks: Optional[Mapping[str, bytes]] = None,
-    ) -> "ColumnarPairScorer":
-        """A batch pair scorer over the fitted attributes' *columns*.
+    def columnar_scorer(self, relation: Relation) -> "ColumnarPairScorer":
+        """A batch pair scorer over *relation*'s fitted attributes.
 
-        *columns* maps each :attr:`fitted_attributes` name to its full values
-        list (row-index order of the relation being deduplicated);
-        *null_masks* optionally supplies the matching cached null masks.  The
-        scorer's results are bit-identical to the per-pair reference APIs
-        (:meth:`compare_rows` / :meth:`explain_rows` / :meth:`upper_bound`) —
-        see :class:`ColumnarPairScorer`.
+        *relation* is the relation being deduplicated (row indices are its
+        row indices).  The scorer's results are bit-identical to the
+        per-pair reference APIs (:meth:`compare_rows` / :meth:`explain_rows`
+        / :meth:`upper_bound`) — see :class:`ColumnarPairScorer`.
         """
-        return ColumnarPairScorer(self, columns, null_masks)
+        return ColumnarPairScorer(self, relation)
 
     def _row_trigrams(self, values: Sequence) -> frozenset:
-        key = None
-        try:
-            key = hash(tuple(values))
-        except TypeError:
-            key = None
-        if key is not None and key in self._trigram_cache:
-            return self._trigram_cache[key]
-        grams = set()
-        for attribute, position in self._positions.items():
-            value = values[position]
-            if is_null(value):
-                continue
-            text = self._normalise(value)
-            padded = f"  {text} "
-            grams.update(padded[i : i + 3] for i in range(len(padded) - 2))
-        result = frozenset(grams)
-        if key is not None:
-            self._trigram_cache[key] = result
-        return result
+        cells = (values[position] for position in self._positions.values())
+        return frozenset().union(*(self._trigrams(cell) for cell in cells if not is_null(cell)))
+
+    def _trigrams(self, value) -> frozenset:
+        """The padded character trigrams of one non-null cell's normalised text."""
+        padded = f"  {self._normalise(value)} "
+        return frozenset(padded[i : i + 3] for i in range(len(padded) - 2))
 
 
 class ColumnarPairScorer:
@@ -282,23 +264,24 @@ class ColumnarPairScorer:
     normalisation, soft-IDF lookups, per-attribute similarities.  Candidate
     batches repeat all of it massively — blocking groups similar tuples, so the
     same cells and the same (value, value) pairs recur across pairs.  This
-    scorer works **attribute-major** over zero-copy column lists and memoises
-    every pure leaf across the whole batch:
+    scorer works **attribute-major** over each column's cached dictionary
+    (:meth:`Relation.dictionary <repro.engine.relation.Relation.dictionary>`:
+    distinct cells plus one code per row, ``-1`` for null) and memoises every
+    pure leaf across the whole batch by code:
 
-    * per-row trigram sets (the upper-bound filter), keyed by row index —
-      no tuple hashing;
-    * per-attribute cell-pair similarities, keyed by the cell values (with
-      their types, mirroring the cross-type care of ``content_key``);
+    * one trigram set per code (the upper-bound filter); a row's set is the
+      union of its cells' sets, kept per row;
+    * per-attribute ``(similarity, weight)`` per ``(code, code)`` cell pair;
     * per-attribute prepared cells (:class:`~repro.similarity.numeric.PreparedValue`:
-      inferred type, normalised text, tokens, parsed date), keyed the same
-      way and filled for the cells candidate pairs touch, so a cell-pair
-      miss no longer re-derives per-value work;
+      inferred type, normalised text, tokens, parsed date) and soft-IDF
+      weights, one per code, filled for the cells candidate pairs touch;
     * one scorer-wide ``(token, token)`` Jaro-Winkler table for the
-      Monge-Elkan comparisons of multi-word values;
-    * per-attribute soft-IDF weights, keyed by the cell value.
+      Monge-Elkan comparisons of multi-word values.
 
-    The tables live on the scorer only (never at module level), so they are
-    freed with the batch.
+    Cells share a code only when their class and ``str()`` agree, so cells
+    that are equal but print differently (``0.0`` / ``-0.0``, ``True`` /
+    ``1``) never share an entry.  The tables live on the scorer only, so
+    they are freed with the batch.
 
     **Bit-identity**: memoisation only short-circuits pure functions of the
     measure's fitted state, and the per-pair weighted accumulation runs in the
@@ -308,33 +291,27 @@ class ColumnarPairScorer:
     frozen pair-score fixtures pin both paths to the same bits.
     """
 
-    def __init__(
-        self,
-        measure: DuplicateSimilarityMeasure,
-        columns: Mapping[str, List],
-        null_masks: Optional[Mapping[str, bytes]] = None,
-    ):
+    def __init__(self, measure: DuplicateSimilarityMeasure, relation: Relation):
         self.measure = measure
-        #: per attribute: (name, values, null mask, selection weight)
-        self._attributes: List[Tuple[str, List, bytes, float]] = []
+        #: per attribute: (name, distinct cells, codes, selection weight)
+        self._attributes: List[Tuple[str, List, List[int], float]] = []
         for attribute in measure._positions:
-            column = columns[attribute]
-            mask = null_masks.get(attribute) if null_masks else None
-            if mask is None:
-                mask = bytes(1 if is_null(value) else 0 for value in column)
+            values, _, codes = relation.dictionary(attribute)
             weight = measure.selection.weights.get(attribute, 1.0)
-            self._attributes.append((attribute, column, mask, weight))
-        self._similarity_caches: List[Dict] = [{} for _ in self._attributes]
-        self._cell_caches: List[Dict] = [{} for _ in self._attributes]
-        self._idf_caches: List[Dict] = [{} for _ in self._attributes]
+            self._attributes.append((attribute, values, codes, weight))
+        self._pair_cells: List[Dict] = [{} for _ in self._attributes]
+        #: per attribute, one lazily filled slot per code
+        sizes = [len(values) for _, values, _, _ in self._attributes]
+        self._cells: List[List] = [[None] * size for size in sizes]
+        self._idfs: List[List] = [[None] * size for size in sizes]
+        self._grams: List[List] = [[None] * size for size in sizes]
         self._token_similarities: Dict[Tuple[str, str], float] = {}
-        self._trigram_sets: Dict[int, frozenset] = {}
+        self._row_grams: List[Optional[frozenset]] = [None] * len(relation)
 
     # -- upper bound ---------------------------------------------------------------
 
     def upper_bound(self, left_index: int, right_index: int) -> float:
-        """Bit-identical to :meth:`DuplicateSimilarityMeasure.upper_bound`,
-        with trigram sets cached per row index (no tuple hashing)."""
+        """Bit-identical to :meth:`DuplicateSimilarityMeasure.upper_bound`."""
         left_grams = self._trigrams(left_index)
         right_grams = self._trigrams(right_index)
         if not left_grams or not right_grams:
@@ -344,20 +321,17 @@ class ColumnarPairScorer:
         return min(1.0, overlap / smaller + 0.3)
 
     def _trigrams(self, index: int) -> frozenset:
-        cached = self._trigram_sets.get(index)
-        if cached is not None:
-            return cached
-        normalise = self.measure._normalise
-        grams = set()
-        for _, column, mask, _ in self._attributes:
-            if mask[index]:
-                continue
-            text = normalise(column[index])
-            padded = f"  {text} "
-            grams.update(padded[i : i + 3] for i in range(len(padded) - 2))
-        result = frozenset(grams)
-        self._trigram_sets[index] = result
-        return result
+        grams = self._row_grams[index]
+        if grams is None:
+            cells = []
+            for (_, values, codes, _), sets in zip(self._attributes, self._grams):
+                code = codes[index]
+                if code >= 0:
+                    if sets[code] is None:
+                        sets[code] = self.measure._trigrams(values[code])
+                    cells.append(sets[code])
+            grams = self._row_grams[index] = frozenset().union(*cells)
+        return grams
 
     # -- batched scoring ------------------------------------------------------------
 
@@ -412,58 +386,54 @@ class ColumnarPairScorer:
     def _attribute_batch(
         self, slot: int, pairs: Sequence[Tuple[int, int]]
     ) -> List[Optional[Tuple[float, float]]]:
-        """One attribute's ``(similarity, weight)`` per pair (``None`` = missing).
-
-        The similarity is memoised per distinct (left value, right value)
-        cell pair, the prepared cell and the soft-IDF per distinct cell
-        value, all keyed with the values' types so Python's cross-type
-        equality (``True == 1``) cannot conflate cells that normalise
-        differently.  Unhashable cells fall back to direct computation.
-        """
-        measure = self.measure
-        attribute, column, mask, base_weight = self._attributes[slot]
-        similarity_cache = self._similarity_caches[slot]
-        idf_cache = self._idf_caches[slot]
-
-        def soft_idf(value) -> float:
-            return measure.soft_idf(attribute, value)
-
-        values = self._prepared_value_similarity(self._cell_caches[slot])
+        """One attribute's ``(similarity, weight)`` per pair (``None`` = missing),
+        memoised per ``(code, code)`` cell pair."""
+        codes = self._attributes[slot][2]
+        pair_cells = self._pair_cells[slot]
         results: List[Optional[Tuple[float, float]]] = []
         for i, j in pairs:
-            if mask[i] or mask[j]:
+            left = codes[i]
+            right = codes[j]
+            if left < 0 or right < 0:
                 results.append(None)
                 continue
-            left = column[i]
-            right = column[j]
-            try:
-                pair_key = (left.__class__, left, right.__class__, right)
-                similarity = similarity_cache.get(pair_key)
-                if similarity is None:
-                    similarity = measure._attribute_similarity(attribute, left, right, values)
-                    similarity_cache[pair_key] = similarity
-            except TypeError:  # unhashable cell value
-                similarity = measure._attribute_similarity(attribute, left, right, values)
-            idf = max(
-                _per_value(idf_cache, left, soft_idf), _per_value(idf_cache, right, soft_idf)
-            )
-            weight = base_weight * (0.25 + 0.75 * idf)
-            results.append((similarity, weight))
+            cell = pair_cells.get((left, right))
+            if cell is None:
+                cell = pair_cells[left, right] = self._score_cells(slot, left, right)
+            results.append(cell)
         return results
 
-    def _prepared_value_similarity(self, cells: Dict):
-        """:func:`value_similarity` of two non-null cells through *cells*,
-        one attribute's prepared-cell table, and the scorer's token table."""
-        token_similarity = self._token_similarity
+    def _score_cells(self, slot: int, left: int, right: int) -> Tuple[float, float]:
+        """``(similarity, weight)`` of two codes' cells of one attribute."""
+        measure = self.measure
+        attribute, values, _, base_weight = self._attributes[slot]
+        similarity = measure._attribute_similarity(
+            attribute,
+            values[left],
+            values[right],
+            lambda _left, _right: prepared_similarity(
+                self._cell(slot, left), self._cell(slot, right), self._token_similarity
+            ),
+        )
+        idf = max(self._idf(slot, left), self._idf(slot, right))
+        return similarity, base_weight * (0.25 + 0.75 * idf)
 
-        def similarity(left, right) -> float:
-            return prepared_similarity(
-                _per_value(cells, left, PreparedValue),
-                _per_value(cells, right, PreparedValue),
-                token_similarity,
-            )
+    def _cell(self, slot: int, code: int) -> PreparedValue:
+        """The prepared cell of one code, prepared on first use."""
+        cells = self._cells[slot]
+        cell = cells[code]
+        if cell is None:
+            cell = cells[code] = PreparedValue(self._attributes[slot][1][code])
+        return cell
 
-        return similarity
+    def _idf(self, slot: int, code: int) -> float:
+        """The soft IDF of one code's cell, computed on first use."""
+        idfs = self._idfs[slot]
+        idf = idfs[code]
+        if idf is None:
+            attribute, values, _, _ = self._attributes[slot]
+            idf = idfs[code] = self.measure.soft_idf(attribute, values[code])
+        return idf
 
     def _token_similarity(self, token: str, other: str) -> float:
         """Jaro-Winkler of two tokens, memoised scorer-wide for Monge-Elkan."""
@@ -472,19 +442,3 @@ class ColumnarPairScorer:
         if similarity is None:
             similarity = self._token_similarities[key] = jaro_winkler_similarity(token, other)
         return similarity
-
-
-def _per_value(cache: Dict, value, compute):
-    """``compute(value)``, memoised in *cache* under ``(type, value)``.
-
-    Keying with the type keeps Python's cross-type equality (``True == 1``)
-    from sharing an entry; unhashable cells are computed directly.
-    """
-    try:
-        key = (value.__class__, value)
-        result = cache.get(key)
-        if result is None:
-            result = cache[key] = compute(value)
-        return result
-    except TypeError:  # unhashable cell value
-        return compute(value)

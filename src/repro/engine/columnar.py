@@ -23,6 +23,10 @@ Design points:
   (:func:`repro.engine.types.is_null`); a column's mask is a ``bytes`` string
   (1 = null) built on first use and cached on the column, so scoring kernels
   test ``mask[i]`` instead of calling ``is_null`` per cell per pair.
+* **Dictionaries.**  A column's distinct non-null cells, their counts and
+  one code per row are built on first use and cached the same way, so
+  per-value work (profiling, fitting, tokenising, preparing cells) runs once
+  per distinct cell instead of once per row (see ``docs/engine.md``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,10 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchemaError
 
-__all__ = ["ColumnData", "ColumnStore"]
+__all__ = ["ColumnData", "ColumnStore", "Dictionary", "encode"]
+
+#: ``(values, counts, codes)`` of one column; see :attr:`ColumnData.dictionary`.
+Dictionary = Tuple[List[Any], List[int], List[int]]
 
 
 def _is_null(value: Any) -> bool:
@@ -41,21 +48,44 @@ def _is_null(value: Any) -> bool:
     return value is None or (isinstance(value, float) and value != value)
 
 
+def encode(values: Sequence[Any], mask: bytes) -> Dictionary:
+    """A fresh, uncached dictionary of *values* (see :attr:`ColumnData.dictionary`)."""
+    index: dict = {}
+    distinct: List[Any] = []
+    counts: List[int] = []
+    codes: List[int] = []
+    for value, null in zip(values, mask):
+        if null:
+            codes.append(-1)
+            continue
+        key = value if value.__class__ is str else (value.__class__, str(value))
+        code = index.get(key)
+        if code is None:
+            code = index[key] = len(distinct)
+            distinct.append(value)
+            counts.append(1)
+        else:
+            counts[code] += 1
+        codes.append(code)
+    return distinct, counts, codes
+
+
 class ColumnData:
-    """One attribute's values plus its cached null mask.
+    """One attribute's values plus its cached null mask and dictionary.
 
     The values list is the canonical storage — cells are held exactly as
     constructed (no boxing, no sentinel encoding), so reads through a column
-    are bit-identical to reads through a row tuple.  The null mask is a
-    ``bytes`` string built on first access and cached; relations that share a
-    ``ColumnData`` (projections, renames) share the cached mask too.
+    are bit-identical to reads through a row tuple.  The null mask and the
+    dictionary are built on first access and cached; relations that share a
+    ``ColumnData`` (projections, renames) share both caches too.
     """
 
-    __slots__ = ("values", "_mask")
+    __slots__ = ("values", "_mask", "_dictionary")
 
     def __init__(self, values: List[Any], mask: Optional[bytes] = None):
         self.values = values
         self._mask = mask
+        self._dictionary: Optional[Dictionary] = None
 
     @property
     def null_mask(self) -> bytes:
@@ -76,6 +106,23 @@ class ColumnData:
     def null_count(self) -> int:
         """Number of null cells."""
         return sum(self.null_mask)
+
+    @property
+    def dictionary(self) -> Dictionary:
+        """``(values, counts, codes)``, built once like :attr:`null_mask`.
+
+        ``values`` holds the distinct non-null cells in first-seen order,
+        ``counts[k]`` the number of cells with code ``k``, and ``codes[i]``
+        row ``i``'s code, ``-1`` exactly where the null mask is 1.  Two cells
+        share a code only when their class and ``str()`` agree — everything a
+        per-value reader (``str``, tokenising, ``float()``, type inference)
+        can tell apart; ``(class, value)`` is not enough, since ``0.0 ==
+        -0.0`` print differently.  The result is shared and read-only.
+        """
+        cached = self._dictionary
+        if cached is None or len(cached[2]) != len(self.values):
+            cached = self._dictionary = encode(self.values, self.null_mask)
+        return cached
 
     def take(self, indices: Sequence[int]) -> "ColumnData":
         """A new column holding ``values[i]`` for each index, in order."""
@@ -109,6 +156,7 @@ class ColumnData:
 
     def __setstate__(self, state):
         self.values, self._mask = state
+        self._dictionary = None
 
 
 class ColumnStore:

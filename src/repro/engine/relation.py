@@ -34,7 +34,7 @@ from typing import (
     Union,
 )
 
-from repro.engine.columnar import ColumnData, ColumnStore
+from repro.engine.columnar import ColumnData, ColumnStore, Dictionary
 from repro.engine.schema import Column, Schema
 from repro.engine.types import DataType, coerce, infer_column_type, is_null
 from repro.exceptions import SchemaError
@@ -342,6 +342,11 @@ class Relation:
         """Null flags (1 = null) for column *name*, built once and cached."""
         return self._store.null_mask(self._schema.position(name))
 
+    def dictionary(self, name: str) -> Dictionary:
+        """Column *name*'s cached ``(values, counts, codes)``; see
+        :attr:`ColumnData.dictionary <repro.engine.columnar.ColumnData.dictionary>`."""
+        return self._store.column_data(self._schema.position(name)).dictionary
+
     def cell(self, row_index: int, column: str) -> Any:
         """Single cell value."""
         return self._store.cell(row_index, self._schema.position(column))
@@ -549,18 +554,7 @@ class Relation:
 
     def distinct_values(self, name: str) -> List[Any]:
         """Distinct non-null values of a column (insertion order)."""
-        seen = []
-        seen_set = set()
-        position = self._schema.position(name)
-        mask = self._store.null_mask(position)
-        for value, null in zip(self._store.column(position), mask):
-            if null:
-                continue
-            marker = (type(value).__name__, str(value))
-            if marker not in seen_set:
-                seen_set.add(marker)
-                seen.append(value)
-        return seen
+        return list(self.dictionary(name)[0])
 
     # -- display -------------------------------------------------------------------
 

@@ -7,10 +7,10 @@ selection) and by the documentation/CLI to describe registered sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.engine.relation import Relation
-from repro.engine.types import DataType, is_null
+from repro.engine.types import DataType
 
 __all__ = ["ColumnStatistics", "RelationStatistics", "profile_relation"]
 
@@ -66,25 +66,19 @@ def profile_relation(relation: Relation) -> RelationStatistics:
     columns: Dict[str, ColumnStatistics] = {}
     row_count = len(relation)
     for column in relation.schema:
-        values = relation.column(column.name)
-        null_count = 0
-        lengths: List[int] = []
-        distinct = set()
-        for value in values:
-            if is_null(value):
-                null_count += 1
-                continue
-            text = str(value)
-            lengths.append(len(text))
-            distinct.add(text)
-        average_length = sum(lengths) / len(lengths) if lengths else 0.0
+        # One pass over the column's distinct cells; the integer length sum
+        # keeps the average exact.
+        values, counts, _ = relation.dictionary(column.name)
+        texts = [str(value) for value in values]
+        non_null = sum(counts)
+        length_sum = sum(len(text) * count for text, count in zip(texts, counts))
         columns[column.name.lower()] = ColumnStatistics(
             name=column.name,
             dtype=column.dtype,
             row_count=row_count,
-            null_count=null_count,
-            distinct_count=len(distinct),
-            average_length=average_length,
+            null_count=row_count - non_null,
+            distinct_count=len(set(texts)),
+            average_length=length_sum / non_null if non_null else 0.0,
         )
     return RelationStatistics(
         name=relation.name,

@@ -7,10 +7,9 @@ in the HumMer paper §2.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.relation import Relation
-from repro.engine.types import is_null
 from repro.exceptions import InsufficientDuplicatesError
 from repro.matching.assignment import maximum_weight_matching
 from repro.matching.correspondences import Correspondence, CorrespondenceSet
@@ -21,11 +20,13 @@ from repro.matching.field_matrix import (
     build_field_matrix,
 )
 from repro.similarity.soft_tfidf import SoftTfIdfSimilarity
+from repro.similarity.tfidf import merge_counts
+from repro.similarity.tokenize import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.prepare.preparer import PreparedSources
 
-__all__ = ["MatchingResult", "DumasMatcher"]
+__all__ = ["MatchingResult", "DumasMatcher", "field_corpus_counts"]
 
 
 @dataclass
@@ -135,20 +136,33 @@ class DumasMatcher:
     ) -> Callable[[str, str], float]:
         """SoftTFIDF fitted on both relations' non-null cell strings.
 
-        With *prepared* sources the IDF model is reconstructed from merged
-        per-source document frequencies (bit-identical to the fresh fit —
-        counts add and per-term IDF is a pure function of them) instead of
-        re-tokenising every cell of both relations per source pair.
+        The IDF model is fitted from merged per-relation document
+        frequencies (bit-identical to a fit on the concatenated cell
+        strings — counts add and per-term IDF is a pure function of them):
+        *prepared* sources serve their prebuilt counts, others are counted
+        by :func:`field_corpus_counts`.
         """
-        if prepared is not None:
-            merged = prepared.field_corpus(left, right)
-            if merged is not None:
-                document_frequency, document_count = merged
-                return SoftTfIdfSimilarity().fit_counts(
-                    document_frequency, document_count
-                )
-        corpus: List[str] = []
-        for relation in (left, right):
-            for values in relation.rows:
-                corpus.extend(str(value) for value in values if not is_null(value))
-        return SoftTfIdfSimilarity(corpus=corpus)
+        merged = prepared.field_corpus(left, right) if prepared is not None else None
+        if merged is None:
+            merged = merge_counts(field_corpus_counts(left), field_corpus_counts(right))
+        return SoftTfIdfSimilarity().fit_counts(*merged)
+
+
+def field_corpus_counts(relation: Relation) -> Tuple[Dict[str, int], int]:
+    """``(document_frequency, document_count)`` of *relation*'s field corpus.
+
+    Every non-null cell, rendered with ``str``, is one document, so this is
+    the reduction :meth:`TfIdfVectorizer.fit` performs over those strings
+    (one count per document, document frequency over the *set* of its
+    tokens), computed once per distinct cell of each column's dictionary
+    and weighted by the cell's count.
+    """
+    document_frequency: Dict[str, int] = {}
+    document_count = 0
+    for name in relation.column_names:
+        values, counts, _ = relation.dictionary(name)
+        for value, count in zip(values, counts):
+            for term in set(tokenize(str(value))):
+                document_frequency[term] = document_frequency.get(term, 0) + count
+        document_count += sum(counts)
+    return document_frequency, document_count

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
-from repro.similarity.tfidf import TfIdfVectorizer, cosine_similarity
+from repro.similarity.tfidf import TfIdfVectorizer, cosine_similarity, merge_counts
 from repro.similarity.tokenize import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -109,8 +109,18 @@ class SeedStatistics:
         return len(self.documents)
 
 
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
+        raise ValueError(f"max_tuples_per_relation must be None or at least 1, got {limit!r}")
+
+
 def sample_indices(size: int, limit: Optional[int]) -> List[int]:
-    """Every n-th row index so at most *limit* rows are kept (all when under)."""
+    """Every n-th row index so at most *limit* rows are kept (all when under).
+
+    Raises:
+        ValueError: unless *limit* is ``None`` or an ``int`` of at least 1.
+    """
+    _check_limit(limit)
     if limit is None or size <= limit:
         return list(range(size))
     step = max(1, size // limit)
@@ -125,15 +135,28 @@ def compute_seed_statistics(
     This is the expensive, per-source half of seed discovery; the result
     depends only on the relation content and *sample_limit*, so it can be
     built once per registered source and reused across queries.
+
+    A row's tokens are its non-null cells' tokens, concatenated in column
+    order, each distinct cell of a column's dictionary tokenised once.  That
+    equals ``tokenize(tuple_to_string(row))``: tokens are ``[a-z0-9]+`` runs
+    over a normalisation that maps character by character, the joining
+    space ends every run, and NFKD reordering cannot cross it.
     """
     indices = sample_indices(len(relation), sample_limit)
-    rows = relation.rows
+    columns = [relation.dictionary(name) for name in relation.column_names]
+    cell_tokens: List[List] = [[None] * len(values) for values, _, _ in columns]
     documents: List[Dict[str, int]] = []
     document_frequency: Dict[str, int] = {}
     for index in indices:
         counts: Dict[str, int] = {}
-        for token in tokenize(tuple_to_string(rows[index])):
-            counts[token] = counts.get(token, 0) + 1
+        for (values, _, codes), tokens in zip(columns, cell_tokens):
+            code = codes[index]
+            if code < 0:
+                continue
+            if tokens[code] is None:
+                tokens[code] = tokenize(str(values[code]))
+            for token in tokens[code]:
+                counts[token] = counts.get(token, 0) + 1
         documents.append(counts)
         for term in counts:
             document_frequency[term] = document_frequency.get(term, 0) + 1
@@ -196,9 +219,10 @@ class DuplicateSeeder:
         max_seeds: how many seed pairs to return (the k of top-k).
         min_similarity: pairs below this cosine similarity are never returned,
             even if fewer than *max_seeds* pairs qualify.
-        max_tuples_per_relation: optional cap; larger relations are sampled by
-            taking every n-th tuple, keeping the seeding cost bounded
-            (the efficiency point the DUMAS paper makes).
+        max_tuples_per_relation: optional cap (``None`` or at least 1);
+            larger relations are sampled by taking every n-th tuple, keeping
+            the seeding cost bounded (the efficiency point the DUMAS paper
+            makes).
         prune: skip cosines for candidates whose per-term max-weight upper
             bound is provably below the current top-k floor (and below
             *min_similarity*).  Exact — the returned seeds are identical to
@@ -220,6 +244,7 @@ class DuplicateSeeder:
     ):
         if max_seeds < 1:
             raise ValueError("max_seeds must be at least 1")
+        _check_limit(max_tuples_per_relation)
         self.max_seeds = max_seeds
         self.min_similarity = min_similarity
         self.max_tuples_per_relation = max_tuples_per_relation
@@ -259,11 +284,11 @@ class DuplicateSeeder:
 
         # Cross-source IDF: fitting one vectorizer on both corpora is exactly
         # adding the two document-frequency tables over the summed corpus size.
-        document_count = left_stats.document_count + right_stats.document_count
-        document_frequency: Dict[str, int] = dict(left_stats.document_frequency)
-        for term, frequency in right_stats.document_frequency.items():
-            document_frequency[term] = document_frequency.get(term, 0) + frequency
-        weigh = TfIdfVectorizer().fit_counts(document_frequency, document_count).weigh
+        merged = merge_counts(
+            (left_stats.document_frequency, left_stats.document_count),
+            (right_stats.document_frequency, right_stats.document_count),
+        )
+        weigh = TfIdfVectorizer().fit_counts(*merged).weigh
         left_vectors = [weigh(counts) for counts in left_stats.documents]
         right_vectors = [weigh(counts) for counts in right_stats.documents]
 

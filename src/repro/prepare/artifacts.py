@@ -8,7 +8,8 @@ query time.
 
 Builders deliberately reuse the consumers' own primitives
 (:meth:`TokenBlocking.build_index`,
-:func:`~repro.matching.duplicate_seed.compute_seed_statistics`) instead of
+:func:`~repro.matching.duplicate_seed.compute_seed_statistics`,
+:func:`~repro.matching.dumas.field_corpus_counts`) instead of
 re-implementing tokenisation, so an artifact can never drift from what the
 cold code path would compute.
 """
@@ -20,9 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dedup.blocking.token import TokenBlocking
 from repro.engine.relation import Relation
-from repro.engine.types import is_null
+from repro.matching.dumas import field_corpus_counts
 from repro.matching.duplicate_seed import SeedStatistics, compute_seed_statistics
-from repro.similarity.tokenize import tokenize
 
 __all__ = [
     "TOKEN_KIND",
@@ -123,25 +123,11 @@ class FieldCorpusArtifact:
 
 
 def build_field_corpus(relation: Relation) -> FieldCorpusArtifact:
-    """Reduce *relation*'s non-null cell strings to field-corpus statistics.
-
-    Mirrors the corpus construction of ``DumasMatcher._default_measure``
-    (every non-null cell, in row-major order, via ``str``) composed with the
-    reduction inside :meth:`TfIdfVectorizer.fit` (one count per document,
-    document frequency over the *set* of its tokens).
-    """
-    document_frequency: Dict[str, int] = {}
-    count = 0
-    for values in relation.rows:
-        for value in values:
-            if is_null(value):
-                continue
-            count += 1
-            for term in set(tokenize(str(value))):
-                document_frequency[term] = document_frequency.get(term, 0) + 1
-    return FieldCorpusArtifact(
-        document_count=count, document_frequency=document_frequency
-    )
+    """Reduce *relation*'s non-null cell strings to field-corpus statistics
+    (:func:`~repro.matching.dumas.field_corpus_counts`, the cold path's own
+    count)."""
+    document_frequency, document_count = field_corpus_counts(relation)
+    return FieldCorpusArtifact(document_count, document_frequency)
 
 
 def build_token_postings(

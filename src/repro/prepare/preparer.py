@@ -52,6 +52,7 @@ from repro.prepare.artifacts import (
     token_params_key,
 )
 from repro.prepare.store import ArtifactCounters
+from repro.similarity.tfidf import merge_counts
 
 __all__ = [
     "SourceArtifacts",
@@ -219,14 +220,11 @@ class PreparedSources:
         right_bundle = self.bundle_for(right)
         if left_bundle is None or right_bundle is None:
             return None
-        document_frequency = dict(left_bundle.field_corpus.document_frequency)
-        for term, frequency in right_bundle.field_corpus.document_frequency.items():
-            document_frequency[term] = document_frequency.get(term, 0) + frequency
-        document_count = (
-            left_bundle.field_corpus.document_count
-            + right_bundle.field_corpus.document_count
+        left_corpus, right_corpus = left_bundle.field_corpus, right_bundle.field_corpus
+        return merge_counts(
+            (left_corpus.document_frequency, left_corpus.document_count),
+            (right_corpus.document_frequency, right_corpus.document_count),
         )
-        return document_frequency, document_count
 
     # -- the per-query merge view -------------------------------------------------
 

@@ -12,12 +12,27 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.tokenize import tokenize
 
-__all__ = ["TfIdfVectorizer", "TfIdfSimilarity", "cosine_similarity"]
+__all__ = ["TfIdfVectorizer", "TfIdfSimilarity", "cosine_similarity", "merge_counts"]
+
+
+def merge_counts(
+    left: Tuple[Mapping[str, int], int], right: Tuple[Mapping[str, int], int]
+) -> Tuple[Dict[str, int], int]:
+    """The ``(document_frequency, document_count)`` of two corpora's concatenation.
+
+    Frequencies add and corpus sizes add, so :meth:`TfIdfVectorizer.fit_counts`
+    on the merge is bit-identical to :meth:`TfIdfVectorizer.fit` on both
+    corpora.
+    """
+    document_frequency = dict(left[0])
+    for term, frequency in right[0].items():
+        document_frequency[term] = document_frequency.get(term, 0) + frequency
+    return document_frequency, left[1] + right[1]
 
 
 def cosine_similarity(left: Mapping[str, float], right: Mapping[str, float]) -> float:

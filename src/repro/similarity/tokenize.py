@@ -9,6 +9,7 @@ from typing import List
 __all__ = ["normalize_text", "tokenize", "qgrams"]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_WHITESPACE_RE = re.compile(r"\s+")
 
 
 def normalize_text(text: str) -> str:
@@ -20,7 +21,7 @@ def normalize_text(text: str) -> str:
     if not text.isascii():
         decomposed = unicodedata.normalize("NFKD", text)
         text = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return re.sub(r"\s+", " ", text.lower()).strip()
+    return _WHITESPACE_RE.sub(" ", text.lower()).strip()
 
 
 def tokenize(text: str) -> List[str]:

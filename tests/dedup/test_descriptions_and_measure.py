@@ -114,6 +114,24 @@ class TestDuplicateSimilarityMeasure:
                     rows[i], rows[j]
                 ) - 1e-9
 
+    def test_upper_bound_does_not_depend_on_call_history(self):
+        # 0.0 == -0.0 and the rows hash alike, but their text differs; a
+        # per-row memo keyed by the row's hash served r0's trigrams for r1
+        relation = Relation.from_dicts(
+            [
+                {"name": "anna", "price": 0.0},
+                {"name": "anna", "price": -0.0},
+                {"name": "zzzz", "price": "-0.0"},
+            ]
+        )
+        selection = AttributeSelection(["name", "price"], weights={"name": 1.0, "price": 1.0})
+        r0, r1, r2 = relation.rows
+        warmed = DuplicateSimilarityMeasure(selection).fit(relation)
+        warmed.upper_bound(r0, r2)
+        fresh = DuplicateSimilarityMeasure(selection).fit(relation)
+        assert warmed.upper_bound(r1, r2) == fresh.upper_bound(r1, r2)
+        assert fresh.upper_bound(r1, r2) == fresh.columnar_scorer(relation).upper_bound(1, 2)
+
     def test_numeric_range_scaling_separates_ages(self):
         relation = Relation.from_dicts(
             [{"name": f"P{i}", "age": 18 + i} for i in range(12)], name="ages"

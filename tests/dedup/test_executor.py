@@ -1,12 +1,15 @@
 """The one in-process scoring path is bit-identical to the per-pair loop."""
 
+from decimal import Decimal
+
 import pytest
 
-from repro.dedup.descriptions import select_interesting_attributes
+from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
 from repro.dedup.executor import SerialExecutor
 from repro.dedup.pairs import CandidatePairGenerator
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
+from repro.engine.relation import Relation
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher
 from repro.matching.transform import transform_sources
@@ -82,15 +85,30 @@ class TestColumnarBatchParity:
 
     def test_columnar_scorer_upper_bound_parity(self, small_students_dataset):
         relation, measure, pairs = self.setup_scoring(small_students_dataset)
-        scorer = measure.columnar_scorer(
-            {
-                attribute: relation.column(attribute)
-                for attribute in measure.fitted_attributes
-            }
-        )
+        scorer = measure.columnar_scorer(relation)
         rows = relation.rows
         for i, j in pairs:
             assert scorer.upper_bound(i, j) == measure.upper_bound(rows[i], rows[j])
+
+    @pytest.mark.parametrize(
+        "value, alike", [(0.0, -0.0), (Decimal("1.0"), Decimal("1.00"))]
+    )
+    def test_equal_cells_that_print_differently_score_apart(self, value, alike):
+        # value == alike, but their text differs; a cache keyed by
+        # (class, value) reused one cell's text and frequency for the other
+        relation = Relation.from_dicts(
+            [{"name": "anna", "price": value}] * 3
+            + [{"name": "anna", "price": alike}, {"name": "bob", "price": f"{value}x"}]
+        )
+        selection = AttributeSelection(["name", "price"], weights={"name": 1.0, "price": 1.0})
+        measure = DuplicateSimilarityMeasure(selection).fit(relation)
+        pairs = [(0, 1), (0, 3), (3, 4), (0, 4)]
+        rows = relation.rows
+        scorer = measure.columnar_scorer(relation)
+        assert [similarity.hex() for similarity in scorer.similarities(pairs)] == [
+            measure.compare_rows(rows[i], rows[j]).hex() for i, j in pairs
+        ]
+        assert scorer.explain(pairs) == [measure.explain_rows(rows[i], rows[j]) for i, j in pairs]
 
 
 class TestSerialParity:

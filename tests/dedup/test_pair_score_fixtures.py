@@ -148,10 +148,7 @@ DATASETS = {
 def _all_pairs_scores(relation, attributes):
     """Every pair's similarity as ``float.hex``, batched and per pair (must agree)."""
     measure = DuplicateSimilarityMeasure(AttributeSelection(list(attributes))).fit(relation)
-    scorer = measure.columnar_scorer(
-        {attribute: relation.column(attribute) for attribute in attributes},
-        {attribute: relation.null_mask(attribute) for attribute in attributes},
-    )
+    scorer = measure.columnar_scorer(relation)
     count = len(relation)
     pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
     batched = [similarity.hex() for similarity in scorer.similarities(pairs)]

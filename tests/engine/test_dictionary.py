@@ -1,0 +1,253 @@
+"""Column dictionaries and the per-value readers that use them.
+
+A column's dictionary (``ColumnData.dictionary``) gives two cells one code
+only when their class and ``str()`` agree.  The readers that work once per
+distinct cell — profiling, the measure's fit, the field corpus, the seed
+statistics, the token index and the batch pair scorer — are compared here
+against per-cell references over generated columns that mix nulls, signed
+zeros, cross-type equal values, dates and Unicode text that normalises
+unusually (combining marks, a word-final sigma, the Kelvin sign, the ``fi``
+ligature, dotted capital I, sharp s and non-ASCII whitespace).
+"""
+
+import datetime
+import pickle
+from collections import Counter
+from decimal import Decimal
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dedup.blocking.token import TokenBlocking
+from repro.dedup.descriptions import AttributeSelection
+from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
+from repro.engine.columnar import ColumnData
+from repro.engine.relation import Relation
+from repro.engine.statistics import profile_relation
+from repro.engine.types import is_null
+from repro.matching.dumas import field_corpus_counts
+from repro.matching.duplicate_seed import compute_seed_statistics, tuple_to_string
+from repro.similarity.tfidf import TfIdfVectorizer
+from repro.similarity.tokenize import tokenize
+
+LETTERS = list("ab zK0.9-") + [
+    "\u0301",  # combining acute accent
+    "\u0327",  # combining cedilla
+    "\u03a3",  # capital sigma (final after a letter)
+    "\u0391",  # capital alpha
+    "\u212a",  # Kelvin sign
+    "\ufb01",  # fi ligature
+    "\u0130",  # capital I with dot above
+    "\u00df",  # sharp s
+    "\u00e9",  # precomposed e acute
+    "\u00a0",  # no-break space
+    "\u2003",  # em space
+    "\t",
+]
+
+CELLS = st.one_of(
+    st.none(),
+    st.just(float("nan")),
+    st.sampled_from(
+        [0.0, -0.0, True, False, 1, 1.0, 0, 2.5, Decimal("1.0"), Decimal("1.00")]
+    ),
+    st.integers(-20, 20),
+    st.dates(datetime.date(1999, 12, 30), datetime.date(2000, 1, 2)),
+    st.sampled_from(["1", "1.0", "-0.0", "0.0", "true", "2000-01-01", "0.0x"]),
+    st.text(alphabet=st.sampled_from(LETTERS), max_size=7),
+)
+
+
+#: Cells that compare equal (or hash alike) but print differently.
+CONFUSABLE = [
+    (),
+    (0.0, -0.0),
+    (True, 1, 1.0),
+    (Decimal("1.0"), Decimal("1.00")),
+    (0, False, -0.0),
+    (1, "1"),
+]
+
+
+@st.composite
+def relations(draw):
+    """1–3 columns of up to 9 rows, each drawing its cells from a small pool
+    (seeded with a group of confusable cells) so that equal and
+    equal-but-differently-printed cells repeat."""
+    width = draw(st.integers(1, 3))
+    height = draw(st.integers(0, 9))
+    columns = {}
+    for position in range(width):
+        pool = draw(st.lists(CELLS, min_size=1, max_size=4))
+        pool += draw(st.sampled_from(CONFUSABLE))
+        columns[f"c{position}"] = draw(
+            st.lists(st.sampled_from(pool), min_size=height, max_size=height)
+        )
+    return Relation.from_columns(columns, infer_types=False)
+
+
+def same_cell(left, right) -> bool:
+    return type(left) is type(right) and str(left) == str(right)
+
+
+def non_null(relation, name):
+    return [value for value in relation.column(name) if not is_null(value)]
+
+
+PROPERTY = settings(max_examples=120, deadline=None)
+
+
+class TestDictionary:
+    @PROPERTY
+    @given(relations())
+    def test_codes_counts_and_first_seen_order(self, relation):
+        for name in relation.column_names:
+            values, counts, codes = relation.dictionary(name)
+            mask = relation.null_mask(name)
+            column = relation.column(name)
+            assert [code == -1 for code in codes] == [flag == 1 for flag in mask]
+            for cell, code in zip(column, codes):
+                if code >= 0:
+                    assert same_cell(cell, values[code])
+            assert sum(counts) == mask.count(0)
+            assert counts == [codes.count(code) for code in range(len(values))]
+            first_seen = []
+            for cell in non_null(relation, name):
+                if not any(same_cell(cell, seen) for seen in first_seen):
+                    first_seen.append(cell)
+            assert len(values) == len(first_seen)
+            assert all(value is seen for value, seen in zip(values, first_seen))
+
+    def test_equal_cells_that_print_differently_get_their_own_codes(self):
+        column = ColumnData([0.0, -0.0, None, True, 1, 1.0, Decimal("1.0"), Decimal("1.00"), 0.0])
+        values, counts, codes = column.dictionary
+        assert codes == [0, 1, -1, 2, 3, 4, 5, 6, 0]
+        assert counts == [2, 1, 1, 1, 1, 1, 1]
+        assert [str(value) for value in values] == [
+            "0.0", "-0.0", "True", "1", "1.0", "1.0", "1.00"
+        ]
+
+    def test_unhashable_cells_are_encoded(self):
+        values, counts, codes = ColumnData([["a"], ["a"], {"k": 1}]).dictionary
+        assert codes == [0, 0, 1] and counts == [2, 1] and values == [["a"], {"k": 1}]
+
+    def test_cached_and_shared_with_derived_relations(self):
+        relation = Relation.from_columns({"a": ["x", "y", "x"], "b": [1, None, 1]})
+        dictionary = relation.dictionary("a")
+        assert relation.dictionary("a") is dictionary
+        assert relation.project(["a"]).dictionary("a") is dictionary
+        assert relation.rename_columns({"a": "z"}).dictionary("z") is dictionary
+
+    def test_rebuilt_after_in_place_growth_and_not_pickled(self):
+        column = ColumnData(["x", None])
+        assert column.dictionary[2] == [0, -1]
+        column.values.append("y")
+        assert column.dictionary == (["x", "y"], [1, 1], [0, -1, 1])
+        restored = pickle.loads(pickle.dumps(column))
+        assert restored._dictionary is None
+        assert restored.dictionary == column.dictionary
+
+    @PROPERTY
+    @given(relations())
+    def test_distinct_values_read_the_dictionary(self, relation):
+        for name in relation.column_names:
+            assert relation.distinct_values(name) == relation.dictionary(name)[0]
+
+
+class TestReadersMatchPerCellReferences:
+    @PROPERTY
+    @given(relations())
+    def test_profile_relation(self, relation):
+        statistics = profile_relation(relation)
+        for name in relation.column_names:
+            texts = [str(value) for value in non_null(relation, name)]
+            column = statistics.column(name)
+            assert column.null_count == len(relation) - len(texts)
+            assert column.distinct_count == len(set(texts))
+            expected = sum(len(text) for text in texts) / len(texts) if texts else 0.0
+            assert column.average_length.hex() == expected.hex()
+
+    @PROPERTY
+    @given(relations())
+    def test_measure_fit(self, relation):
+        names = list(relation.column_names)
+        measure = DuplicateSimilarityMeasure(AttributeSelection(names)).fit(relation)
+        for name in names:
+            frequencies = Counter()
+            numbers = []
+            for value in non_null(relation, name):
+                frequencies[str(value).strip().lower()] += 1
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    numbers.append(float(value))
+            assert list(measure._value_frequencies[name].items()) == list(frequencies.items())
+            scale = None
+            if len(numbers) >= 2 and max(numbers) - min(numbers) > 0:
+                scale = (max(numbers) - min(numbers)) * measure.numeric_range_fraction
+            assert measure._numeric_scales.get(name) == scale
+
+    @PROPERTY
+    @given(relations())
+    def test_field_corpus(self, relation):
+        corpus = [str(value) for row in relation.rows for value in row if not is_null(value)]
+        frequency, count = field_corpus_counts(relation)
+        expected = Counter()
+        for document in corpus:
+            expected.update(set(tokenize(document)))
+        assert frequency == dict(expected)
+        assert count == len(corpus)
+        fitted = TfIdfVectorizer().fit(corpus)
+        counted = TfIdfVectorizer().fit_counts(frequency, count)
+        assert counted.document_count == fitted.document_count
+        assert counted.vocabulary == fitted.vocabulary
+        assert [counted.idf(term).hex() for term in fitted.vocabulary] == [
+            fitted.idf(term).hex() for term in fitted.vocabulary
+        ]
+
+    @PROPERTY
+    @given(relations(), st.sampled_from([None, 1, 3]))
+    def test_seed_statistics(self, relation, limit):
+        statistics = compute_seed_statistics(relation, limit)
+        rows = relation.rows
+        frequency = {}
+        for index, document in zip(statistics.indices, statistics.documents):
+            expected = {}
+            for token in tokenize(tuple_to_string(rows[index])):
+                expected[token] = expected.get(token, 0) + 1
+            assert list(document.items()) == list(expected.items())
+            for term in expected:
+                frequency[term] = frequency.get(term, 0) + 1
+        assert list(statistics.document_frequency.items()) == list(frequency.items())
+
+    @PROPERTY
+    @given(relations(), st.sampled_from([None, 2]))
+    def test_token_index(self, relation, qgram):
+        strategy = TokenBlocking(qgram=qgram, min_token_length=1)
+        names = list(relation.column_names)
+        expected = {}
+        for row_index, row in enumerate(relation.rows):
+            row_tokens = set()
+            for value in row:
+                if not is_null(value):
+                    row_tokens.update(strategy.tokens(value))
+            for token in row_tokens:
+                expected.setdefault(token, []).append(row_index)
+        assert list(strategy.build_index(relation, names).items()) == list(expected.items())
+
+    @PROPERTY
+    @given(relations())
+    def test_batch_scorer(self, relation):
+        selection = AttributeSelection(list(relation.column_names))
+        measure = DuplicateSimilarityMeasure(selection).fit(relation)
+        count = len(relation)
+        pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
+        rows = relation.rows
+        scorer = measure.columnar_scorer(relation)
+        assert [similarity.hex() for similarity in scorer.similarities(pairs)] == [
+            measure.compare_rows(rows[i], rows[j]).hex() for i, j in pairs
+        ]
+        assert scorer.explain(pairs) == [measure.explain_rows(rows[i], rows[j]) for i, j in pairs]
+        bounds = []
+        for i, j in pairs:
+            fresh = DuplicateSimilarityMeasure(selection).fit(relation)
+            bounds.append(fresh.upper_bound(rows[i], rows[j]).hex())
+        assert [scorer.upper_bound(i, j).hex() for i, j in pairs] == bounds

@@ -81,6 +81,21 @@ class TestSampling:
         assert seeds
         assert all(seed.left_index in sampled for seed in seeds)
 
+    @pytest.mark.parametrize("limit", [0, -1, -3, 2.5, True, "10"])
+    def test_unusable_sample_limits_are_rejected(self, limit):
+        # 0 used to fail later with ZeroDivisionError, a negative limit kept
+        # size + limit rows, and -1 sampled a one-row relation empty
+        with pytest.raises(ValueError, match="max_tuples_per_relation"):
+            DuplicateSeeder(max_tuples_per_relation=limit)
+        with pytest.raises(ValueError, match="max_tuples_per_relation"):
+            sample_indices(10, limit)
+
+    def test_limit_of_one_keeps_one_row(self):
+        seeder = DuplicateSeeder(min_similarity=0.0, max_tuples_per_relation=1)
+        seeds = seeder.find_seeds(relation_of(["anna schmidt"]), relation_of(["anna schmidt"]))
+        assert [(seed.left_index, seed.right_index) for seed in seeds] == [(0, 0)]
+        assert sample_indices(10, 1) == [0]
+
     def test_statistics_record_sampling_parameters(self):
         relation = relation_of([f"row {i}" for i in range(25)])
         statistics = compute_seed_statistics(relation, 10)

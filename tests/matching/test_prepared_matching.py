@@ -91,22 +91,19 @@ class TestPreparedMatchingParity:
         prepared = SourcePreparer(catalog).prepare(["EE_Students", "CS_Students"])
         matcher = DumasMatcher()
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("warm match rebuilt the field corpus cold")
+        # the cold fallback counts each relation's corpus with
+        # field_corpus_counts; the warm path merges the prepared counts
+        cold_counts = []
+        original = dumas_module.field_corpus_counts
 
-        # the cold fallback constructs SoftTfIdfSimilarity(corpus=...); the
-        # warm path constructs it bare and calls fit_counts
-        original = dumas_module.SoftTfIdfSimilarity
+        def guarded(relation):
+            cold_counts.append(relation)
+            return original(relation)
 
-        class Guarded(original):
-            def __init__(self, corpus=None, **kwargs):
-                if corpus is not None:
-                    forbidden()
-                super().__init__(corpus=corpus, **kwargs)
-
-        monkeypatch.setattr(dumas_module, "SoftTfIdfSimilarity", Guarded)
+        monkeypatch.setattr(dumas_module, "field_corpus_counts", guarded)
         result = matcher.match(left, right, prepared=prepared)
         assert result.correspondences
+        assert cold_counts == []
 
     def test_foreign_relation_falls_back_to_cold(self, catalog, monkeypatch):
         left = catalog.fetch("EE_Students")
@@ -117,20 +114,20 @@ class TestPreparedMatchingParity:
 
         # the bundle declines a pair it does not hold, so the matcher
         # handed it builds that pair's corpus cold — with the same result
-        cold_fits = []
-        original = dumas_module.SoftTfIdfSimilarity
+        cold_counts = []
+        original = dumas_module.field_corpus_counts
 
-        class Recording(original):
-            def __init__(self, corpus=None, **kwargs):
-                cold_fits.append(corpus is not None)
-                super().__init__(corpus=corpus, **kwargs)
+        def recording(relation):
+            cold_counts.append(relation)
+            return original(relation)
 
-        monkeypatch.setattr(dumas_module, "SoftTfIdfSimilarity", Recording)
+        monkeypatch.setattr(dumas_module, "field_corpus_counts", recording)
         clone = left.copy()
         warm = DumasMatcher().match(left, clone, prepared=prepared)
+        assert [id(relation) for relation in cold_counts] == [id(left), id(clone)]
         cold = DumasMatcher().match(left, clone)
         assert matching_fingerprint(warm) == matching_fingerprint(cold)
-        assert cold_fits == [True, True]
+        assert len(cold_counts) == 4
 
 
 class TestFieldCorpusMerge:
