@@ -13,8 +13,9 @@ literature the paper builds on, we distinguish
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from repro.engine.relation import Relation
 from repro.engine.types import is_null, value_key
@@ -107,8 +108,13 @@ def find_conflicts(
     source_column: str = "sourceID",
     ignore_columns: Sequence[str] = (),
 ) -> ConflictReport:
-    """Find every conflict in a relation that already carries object ids."""
-    from repro.engine.operators.groupby import group_rows
+    """Find every conflict in a relation that already carries object ids.
+
+    Clusters are the groups of :func:`~repro.engine.operators.groupby.group_rows`
+    on *object_column*; only the rows of multi-tuple clusters are read, since
+    one tuple cannot conflict with itself.
+    """
+    from repro.engine.operators.groupby import group_keys
 
     ignored = {name.lower() for name in ignore_columns}
     ignored.add(object_column.lower())
@@ -119,15 +125,19 @@ def find_conflicts(
         if relation.schema.has_column(source_column)
         else None
     )
+    object_position = relation.schema.position(object_column)
     report = ConflictReport()
-    groups = group_rows(relation, [object_column])
-    report.cluster_count = len(groups)
-    for key_values, rows in groups:
-        if len(rows) > 1:
-            report.multi_tuple_cluster_count += 1
-        else:
-            continue
-        object_id = key_values[0]
+    keys = group_keys(relation, [object_column])
+    sizes = Counter(keys)
+    report.cluster_count = len(sizes)
+    clusters: Dict[Hashable, List[tuple]] = {key: [] for key, size in sizes.items() if size > 1}
+    report.multi_tuple_cluster_count = len(clusters)
+    for index, key in enumerate(keys):
+        members = clusters.get(key)
+        if members is not None:
+            members.append(relation.row_values(index))
+    for rows in clusters.values():
+        object_id = rows[0][object_position]
         sources = [
             None if source_position is None else row[source_position] for row in rows
         ]

@@ -13,7 +13,7 @@ value-level lineage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.lineage import CellLineage, LineageMap, trace_cell_lineage
 from repro.core.resolution.base import (
@@ -38,6 +38,10 @@ __all__ = [
     "FusionOperator",
     "fuse",
 ]
+
+
+#: The lineage sources of a null cell, or of a tuple without a source.
+_NO_SOURCES: FrozenSet[str] = frozenset()
 
 
 def _once(factory):
@@ -226,33 +230,23 @@ class FusionOperator:
             if relation.schema.has_column(SOURCE_ID_COLUMN)
             else None
         )
+        columns = [
+            (spec.output_name, spec.column, function, position, function.keeps_single_value)
+            for spec, function, position in zip(output_specs, functions, input_positions)
+        ]
         groups = group_rows(relation, self.spec.key_columns)
         for done, (key_values, group) in enumerate(groups, start=1):
             object_id = key_values[0] if len(key_values) == 1 else tuple(key_values)
-            # Row wrappers and per-source strings are built at most once per
-            # group, and only if something actually reads them: resolution
-            # functions receive them as lazy context fields, so a
-            # Coalesce-only fusion never allocates a single Row.
-            wrap_rows = _once(
-                lambda group=group: [Row(relation.schema, values) for values in group]
-            )
-            group_sources = _once(
-                lambda group=group: [
-                    None
-                    if source_position is None or values[source_position] is None
-                    else str(values[source_position])
-                    for values in group
-                ]
-            )
             cells = list(key_values)
             resolved_conflicts = 0
             lineage: List[CellLineage] = []
             lone = group[0] if len(group) == 1 else None
             if lone is not None:
                 source = None if source_position is None else lone[source_position]
-                lone_sources = frozenset() if source is None else frozenset({str(source)})
-            for spec, function, position in zip(output_specs, functions, input_positions):
-                if lone is not None and function.keeps_single_value:
+                lone_sources = _NO_SOURCES if source is None else frozenset((str(source),))
+            wrap_rows = group_sources = None
+            for name, column, function, position, keeps_single_value in columns:
+                if lone is not None and keeps_single_value:
                     # A function that returns a lone value unchanged needs no
                     # context: copy the cell.  One value cannot conflict, and
                     # its lineage is its source (none for a null).
@@ -260,17 +254,30 @@ class FusionOperator:
                     null = is_null(value)
                     cells.append(None if null else value)
                     lineage.append(
-                        CellLineage(
-                            spec.output_name,
-                            object_id,
-                            frozenset() if null else lone_sources,
-                            merged=False,
-                        )
+                        CellLineage(name, object_id, _NO_SOURCES if null else lone_sources, False)
                     )
                     continue
+                if wrap_rows is None:
+                    # Row wrappers and per-source strings are built at most
+                    # once per group, and only if something actually reads
+                    # them: resolution functions receive them as lazy context
+                    # fields, so a Coalesce-only fusion never allocates a
+                    # single Row, and a group whose every cell is copied
+                    # builds neither factory.
+                    wrap_rows = _once(
+                        lambda group=group: [Row(relation.schema, values) for values in group]
+                    )
+                    group_sources = _once(
+                        lambda group=group: [
+                            None
+                            if source_position is None or values[source_position] is None
+                            else str(values[source_position])
+                            for values in group
+                        ]
+                    )
                 values = [group_values[position] for group_values in group]
                 context = ResolutionContext(
-                    column=spec.column,
+                    column=column,
                     values=values,
                     rows=wrap_rows,
                     sources=group_sources,
@@ -283,9 +290,7 @@ class FusionOperator:
                     resolved_conflicts += 1
                 cells.append(resolved)
                 lineage.append(
-                    trace_cell_lineage(
-                        spec.output_name, object_id, resolved, values, context.sources
-                    )
+                    trace_cell_lineage(name, object_id, resolved, values, context.sources)
                 )
             yield FusedGroup(
                 object_id=object_id,
@@ -304,7 +309,7 @@ class FusionOperator:
         bit-identical rows, lineage and counters.
         """
         output_specs, functions, input_positions = self._plan(relation)
-        lineage = LineageMap()
+        records: List[CellLineage] = []
         rows: List[tuple] = []
         resolved_conflicts = 0
         for fused_group in self._resolve_groups(
@@ -312,8 +317,7 @@ class FusionOperator:
         ):
             rows.append(fused_group.row)
             resolved_conflicts += fused_group.resolved_conflicts
-            for record in fused_group.lineage:
-                lineage.record(record)
+            records.extend(fused_group.lineage)
 
         key_schema_columns = [relation.schema.column(name) for name in self.spec.key_columns]
         value_columns = []
@@ -324,7 +328,7 @@ class FusionOperator:
         fused = Relation(schema, rows, name=self.table_name or "fused")
         return FusionResult(
             relation=fused,
-            lineage=lineage,
+            lineage=LineageMap(records),
             input_tuple_count=len(relation),
             output_tuple_count=len(fused),
             resolved_conflict_count=resolved_conflicts,

@@ -13,16 +13,14 @@ lineage.  The CLI and examples render this as ANSI colours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.engine.types import is_null, values_equal
+from repro.engine.types import is_null, value_key, values_equal
 
 __all__ = ["CellLineage", "LineageMap", "trace_cell_lineage"]
 
 
-@dataclass(frozen=True)
-class CellLineage:
+class CellLineage(NamedTuple):
     """Provenance of one cell of the fused result."""
 
     column: str
@@ -38,36 +36,66 @@ class CellLineage:
         return None
 
 
-class LineageMap:
-    """Lineage for every (object, column) cell of a fused result."""
+def _cell_identity(cell: Any) -> tuple:
+    return ("null",) if is_null(cell) else value_key(cell)
 
-    def __init__(self) -> None:
+
+def _object_identity(object_id: Any) -> tuple:
+    """The identity fusion groups *object_id* under: ``value_key`` per key
+    cell, every null as one key.  A tuple object id is a multi-column key,
+    identified cell by cell."""
+    if isinstance(object_id, tuple):
+        return tuple(map(_cell_identity, object_id))
+    return _cell_identity(object_id)
+
+
+class LineageMap:
+    """Lineage for every (object, column) cell of a fused result.
+
+    A cell is addressed by its object's grouping identity (``value_key``,
+    nulls as one key), so ``True``, ``1`` and ``Decimal("1")`` — three
+    objects to fusion — keep three records, while ``1`` and ``1.0`` name the
+    same object.  Records are appended as they come; the lookup index is
+    built on first read (a fusion whose lineage nobody reads never builds
+    it).  A later record for the same cell replaces the earlier one, and
+    iteration follows the cells' first insertion.
+    """
+
+    def __init__(self, records: Iterable[CellLineage] = ()) -> None:
+        self._pending: List[CellLineage] = list(records)
         self._cells: Dict[Tuple[Any, str], CellLineage] = {}
 
     def record(self, lineage: CellLineage) -> None:
         """Store lineage for one cell."""
-        self._cells[(lineage.object_id, lineage.column.lower())] = lineage
+        self._pending.append(lineage)
+
+    def _index(self) -> Dict[Tuple[Any, str], CellLineage]:
+        if self._pending:
+            for record in self._pending:
+                self._cells[(_object_identity(record.object_id), record.column.lower())] = record
+            self._pending = []
+        return self._cells
 
     def lookup(self, object_id: Any, column: str) -> Optional[CellLineage]:
         """Lineage of the cell for *object_id* / *column*, if recorded."""
-        return self._cells.get((object_id, column.lower()))
+        return self._index().get((_object_identity(object_id), column.lower()))
 
     def sources_used(self) -> List[str]:
         """Every source that contributed at least one cell, sorted."""
         sources = set()
-        for lineage in self._cells.values():
+        for lineage in self._index().values():
             sources.update(lineage.sources)
         return sorted(sources)
 
     def merged_cells(self) -> List[CellLineage]:
         """Cells whose value combines several sources."""
-        return [lineage for lineage in self._cells.values() if lineage.merged]
+        return [lineage for lineage in self._index().values() if lineage.merged]
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._index())
 
     def __iter__(self):
-        return iter(self._cells.values())
+        return iter(self._index().values())
 
 
 def trace_cell_lineage(

@@ -8,15 +8,15 @@ which the Fuse By conflict-resolution operator is compared in experiment E3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.engine.operators.aggregates import aggregate_function
 from repro.engine.operators.base import Operator
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
-from repro.engine.types import infer_column_type, is_null, value_key
+from repro.engine.types import infer_column_type, value_key
 
-__all__ = ["AggregateSpec", "GroupBy", "Aggregate", "group_rows"]
+__all__ = ["AggregateSpec", "GroupBy", "Aggregate", "group_keys", "group_rows"]
 
 
 @dataclass
@@ -50,12 +50,38 @@ class AggregateSpec:
         return aggregate_function(str(self.function))
 
 
-def _group_key(values: tuple, positions: Sequence[int]) -> tuple:
-    key = []
-    for position in positions:
-        value = values[position]
-        key.append(("null",) if is_null(value) else value_key(value))
-    return tuple(key)
+def _column_keys(relation: Relation, name: str) -> List[int]:
+    """One grouping key per row of column *name*, from its cached dictionary.
+
+    Two rows get the same key exactly when their cells have the same
+    :func:`~repro.engine.types.value_key`, every null (``None``, NaN) being
+    one key, ``-1``.  ``value_key`` runs once per distinct cell.  A code is
+    its own key unless an earlier code has the same ``value_key`` (``10``
+    and ``10.0``); only then is a per-row list built, else the dictionary's
+    own codes are returned (shared: read-only).
+    """
+    distinct, _, codes = relation.dictionary(name)
+    first_code: Dict[tuple, int] = {}
+    canonical = [
+        first_code.setdefault(value_key(value), code) for code, value in enumerate(distinct)
+    ]
+    if len(first_code) == len(distinct):
+        return codes
+    canonical.append(-1)  # index -1: the nulls keep their code
+    return [canonical[code] for code in codes]
+
+
+def group_keys(relation: Relation, by: Sequence[str]) -> Sequence[Hashable]:
+    """One key per row: two rows get equal keys exactly when every cell of
+    the columns *by* has the same :func:`~repro.engine.types.value_key`, all
+    nulls (``None``, NaN) counting as one value.  The grouping rule of
+    :func:`group_rows`, for callers that need only some of the groups; the
+    result may be a column's cached codes, so treat it as read-only."""
+    if len(by) == 1:
+        return _column_keys(relation, by[0])
+    if by:
+        return list(zip(*(_column_keys(relation, name) for name in by)))
+    return [()] * len(relation)
 
 
 def group_rows(relation: Relation, by: Sequence[str]) -> List[Tuple[tuple, List[tuple]]]:
@@ -63,21 +89,23 @@ def group_rows(relation: Relation, by: Sequence[str]) -> List[Tuple[tuple, List[
 
     Returns a list of ``(key_values, rows)`` pairs in first-seen order, where
     ``key_values`` are the raw cell values of the grouping columns for the
-    first row of the group.  Exposed as a function because the fusion
-    operator in :mod:`repro.core.fusion` groups by ``objectID`` the same way.
+    first row of the group.  Rows share a group when their :func:`group_keys`
+    are equal (so ``10`` and ``10.0`` do, ``1`` and ``True`` do not).  The
+    keys come from the columns' cached dictionaries, so a second caller on
+    the same relation (conflict detection, then fusion) reuses the codes.
+    Exposed as a function because the fusion operator in
+    :mod:`repro.core.fusion` groups by ``objectID`` the same way.
     """
     positions = relation.schema.positions(by)
-    order: List[tuple] = []
-    groups: Dict[tuple, List[tuple]] = {}
-    key_values: Dict[tuple, tuple] = {}
-    for values in relation.rows:
-        key = _group_key(values, positions)
-        if key not in groups:
-            groups[key] = []
-            key_values[key] = tuple(values[p] for p in positions)
-            order.append(key)
-        groups[key].append(values)
-    return [(key_values[key], groups[key]) for key in order]
+    groups: Dict[Hashable, List[tuple]] = {}
+    grouped: List[Tuple[tuple, List[tuple]]] = []
+    for key, values in zip(group_keys(relation, by), relation.rows):
+        rows = groups.get(key)
+        if rows is None:
+            rows = groups[key] = []
+            grouped.append((tuple([values[p] for p in positions]), rows))
+        rows.append(values)
+    return grouped
 
 
 class GroupBy(Operator):

@@ -13,7 +13,12 @@ from repro.engine.relation import Relation
 from repro.exceptions import InsufficientDuplicatesError
 from repro.matching.assignment import maximum_weight_matching
 from repro.matching.correspondences import Correspondence, CorrespondenceSet
-from repro.matching.duplicate_seed import DuplicateSeeder, SeedPair, SeedScoringStatistics
+from repro.matching.duplicate_seed import (
+    DuplicateSeeder,
+    SeedPair,
+    SeedScoringStatistics,
+    StatisticsMemo,
+)
 from repro.matching.field_matrix import (
     FieldSimilarityMatrix,
     average_matrices,
@@ -87,11 +92,14 @@ class DumasMatcher:
         prepared: Optional["PreparedSources"] = None,
         progress_callback: Optional[Callable[[str, int, int], None]] = None,
         scoring: Optional[SeedScoringStatistics] = None,
+        memo: Optional[StatisticsMemo] = None,
     ) -> MatchingResult:
         """Derive attribute correspondences between *left* (preferred) and *right*.
 
         *prepared* (the run's :class:`PreparedSources`) serves the seeding
-        statistics and the field corpus; *progress_callback* also gets one
+        statistics and the field corpus; what it cannot serve is built here,
+        once per *memo* when one is given (:class:`MultiMatcher` shares one
+        across its pairwise matches); *progress_callback* also gets one
         ``"field_matrices"`` event per seed matrix built; the seeder adds its
         counters to *scoring*.
 
@@ -100,15 +108,17 @@ class DumasMatcher:
                 found — the caller may fall back to a name-based matcher or
                 ask the user.
         """
+        memo = memo if memo is not None else StatisticsMemo()
         seeds = self.seeder.find_seeds(
-            left, right, prepared=prepared, progress_callback=progress_callback, scoring=scoring
+            left, right, prepared=prepared, progress_callback=progress_callback,
+            scoring=scoring, memo=memo,
         )
         if not seeds:
             raise InsufficientDuplicatesError(
                 f"no overlapping tuples found between {left.name or 'left'!r} and "
                 f"{right.name or 'right'!r}; instance-based matching needs shared objects"
             )
-        measure = self.field_measure or self._default_measure(left, right, prepared)
+        measure = self.field_measure or self._default_measure(left, right, prepared, memo)
         matrices = []
         for built, seed in enumerate(seeds, start=1):
             matrices.append(build_field_matrix(left, right, seed, measure=measure))
@@ -132,7 +142,7 @@ class DumasMatcher:
         return MatchingResult(correspondences=correspondences, seeds=seeds, matrix=averaged)
 
     def _default_measure(
-        self, left: Relation, right: Relation, prepared
+        self, left: Relation, right: Relation, prepared, memo: StatisticsMemo
     ) -> Callable[[str, str], float]:
         """SoftTFIDF fitted on both relations' non-null cell strings.
 
@@ -140,11 +150,13 @@ class DumasMatcher:
         frequencies (bit-identical to a fit on the concatenated cell
         strings — counts add and per-term IDF is a pure function of them):
         *prepared* sources serve their prebuilt counts, others are counted
-        by :func:`field_corpus_counts`.
+        by :func:`field_corpus_counts`, once per *memo*.
         """
         merged = prepared.field_corpus(left, right) if prepared is not None else None
         if merged is None:
-            merged = merge_counts(field_corpus_counts(left), field_corpus_counts(right))
+            merged = merge_counts(
+                memo.get(field_corpus_counts, left), memo.get(field_corpus_counts, right)
+            )
         return SoftTfIdfSimilarity().fit_counts(*merged)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
@@ -50,7 +50,10 @@ __all__ = [
     "tuple_to_string",
     "compute_seed_statistics",
     "sample_indices",
+    "StatisticsMemo",
 ]
+
+T = TypeVar("T")
 
 
 def tuple_to_string(values: Sequence, exclude_positions: Sequence[int] = ()) -> str:
@@ -212,6 +215,29 @@ class SeedScoringStatistics:
         }
 
 
+class StatisticsMemo:
+    """Per-relation statistics built at most once while the memo lives.
+
+    A multi-relation match pairs the preferred relation with every other
+    relation, and each pairwise match needs both sides' seeding statistics
+    and field-corpus counts; one memo per :meth:`MultiMatcher.match
+    <repro.matching.multi.MultiMatcher.match>` call builds the preferred
+    relation's once instead of once per pair.  Entries are keyed by relation
+    identity and hold the relation, so an id cannot be reused under them.
+    """
+
+    def __init__(self) -> None:
+        self._built: Dict[Tuple[Any, ...], Tuple[Relation, Any]] = {}
+
+    def get(self, build: Callable[..., T], relation: Relation, *args: Any) -> T:
+        """``build(relation, *args)``, built on the first request only."""
+        key = (build, id(relation), *args)
+        entry = self._built.get(key)
+        if entry is None:
+            entry = self._built[key] = (relation, build(relation, *args))
+        return entry[1]
+
+
 class DuplicateSeeder:
     """Finds the top-k most similar cross-table tuple pairs by whole-tuple TF-IDF.
 
@@ -252,8 +278,11 @@ class DuplicateSeeder:
         #: Counters of the most recent :meth:`find_seeds` call.
         self.last_scoring: Optional[SeedScoringStatistics] = None
 
-    def statistics_for(self, relation: Relation, prepared=None) -> SeedStatistics:
-        """Seeding statistics for *relation* — from *prepared* when valid."""
+    def statistics_for(
+        self, relation: Relation, prepared=None, memo: Optional[StatisticsMemo] = None
+    ) -> SeedStatistics:
+        """Seeding statistics for *relation* — from *prepared* when valid,
+        else built (once per *memo*, when one is given)."""
         if prepared is not None:
             statistics = prepared.seed_statistics(relation, self.max_tuples_per_relation)
             if (
@@ -262,6 +291,8 @@ class DuplicateSeeder:
                 and statistics.sample_limit == self.max_tuples_per_relation
             ):
                 return statistics
+        if memo is not None:
+            return memo.get(compute_seed_statistics, relation, self.max_tuples_per_relation)
         return compute_seed_statistics(relation, self.max_tuples_per_relation)
 
     def find_seeds(
@@ -271,16 +302,18 @@ class DuplicateSeeder:
         prepared: Optional["PreparedSources"] = None,
         progress_callback: Optional[Callable[[str, int, int], None]] = None,
         scoring: Optional[SeedScoringStatistics] = None,
+        memo: Optional[StatisticsMemo] = None,
     ) -> List[SeedPair]:
         """Return the top seed pairs between *left* and *right*, best first.
 
         *prepared* (the run's :class:`PreparedSources`) serves both sides'
-        statistics; *progress_callback* gets ``("seeds_scored", done, total)``
-        per left tuple; this call's counters are added to *scoring* and held
-        alone by :attr:`last_scoring`.
+        statistics, and *memo* keeps the ones built here for later calls;
+        *progress_callback* gets ``("seeds_scored", done, total)`` per left
+        tuple; this call's counters are added to *scoring* and held alone by
+        :attr:`last_scoring`.
         """
-        left_stats = self.statistics_for(left, prepared)
-        right_stats = self.statistics_for(right, prepared)
+        left_stats = self.statistics_for(left, prepared, memo)
+        right_stats = self.statistics_for(right, prepared, memo)
 
         # Cross-source IDF: fitting one vectorizer on both corpora is exactly
         # adding the two document-frequency tables over the summed corpus size.

@@ -15,7 +15,7 @@ from repro.engine.relation import Relation
 from repro.exceptions import InsufficientDuplicatesError
 from repro.matching.correspondences import CorrespondenceSet
 from repro.matching.dumas import DumasMatcher, MatchingResult
-from repro.matching.duplicate_seed import SeedScoringStatistics
+from repro.matching.duplicate_seed import SeedScoringStatistics, StatisticsMemo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.prepare.preparer import PreparedSources
@@ -65,18 +65,21 @@ class MultiMatcher:
     ) -> MultiMatchingResult:
         """Match every relation after the first one against the first one,
         handing *prepared*, *progress_callback* and *scoring* to every
-        pairwise :meth:`DumasMatcher.match`."""
+        pairwise :meth:`DumasMatcher.match`.  The pairwise matches share one
+        :class:`StatisticsMemo`, so each relation's seeding statistics and
+        field-corpus counts are built at most once per call."""
         if not relations:
             raise ValueError("need at least one relation")
         preferred = relations[0]
         combined = CorrespondenceSet()
         per_relation: Dict[str, MatchingResult] = {}
         failed: List[str] = []
+        memo = StatisticsMemo()
         for other in relations[1:]:
             try:
                 result = self.matcher.match(
                     preferred, other, prepared=prepared,
-                    progress_callback=progress_callback, scoring=scoring,
+                    progress_callback=progress_callback, scoring=scoring, memo=memo,
                 )
             except InsufficientDuplicatesError:
                 result = None

@@ -1,10 +1,12 @@
 """Tests for the fusion operator, conflicts, and lineage."""
 
+from decimal import Decimal
+
 import pytest
 
 from repro.core.conflicts import Conflict, ConflictKind, classify_values, find_conflicts
 from repro.core.fusion import FusionOperator, FusionSpec, ResolutionSpec, fuse
-from repro.core.lineage import trace_cell_lineage
+from repro.core.lineage import CellLineage, LineageMap, trace_cell_lineage
 from repro.core.resolution import Choose, Coalesce, ResolutionContext
 from repro.engine.io.csv_source import CsvSource
 from repro.engine.operators.groupby import group_rows
@@ -130,6 +132,73 @@ class TestLineage:
         assert lineage.sources == frozenset()
         assert not lineage.merged
 
+    def test_objects_that_compare_equal_keep_their_own_lineage(self):
+        """True, 1 and Decimal("1") are three objects to fusion, though
+        Python calls them equal; each keeps its cell's lineage."""
+        relation = Relation(
+            ["k", "a", "sourceID"],
+            [(True, "x", "s1"), (1, "y", "s2"), (Decimal("1"), "z", "s3")],
+            name="r",
+        )
+        result = fuse(relation, ["k"])
+        assert len(result.relation) == 3
+        assert len(result.lineage) == 3
+        assert result.lineage.lookup(True, "a").sources == frozenset({"s1"})
+        assert result.lineage.lookup(1, "a").sources == frozenset({"s2"})
+        assert result.lineage.lookup(Decimal("1"), "a").sources == frozenset({"s3"})
+        # 1.0 is the object 1 is: grouping keys numbers by value
+        assert result.lineage.lookup(1.0, "A").sources == frozenset({"s2"})
+        assert result.lineage.lookup(Decimal("1.0"), "a") is None
+
+    def test_null_object_ids_are_one_object(self):
+        relation = Relation(
+            ["k", "a", "sourceID"],
+            [(None, "x", "s1"), (float("nan"), None, "s2"), (2, "z", "s3")],
+            name="r",
+        )
+        result = fuse(relation, ["k"])
+        assert len(result.relation) == 2
+        assert result.lineage.lookup(float("nan"), "a").sources == frozenset({"s1"})
+        assert result.lineage.lookup(None, "a") == result.lineage.lookup(float("nan"), "a")
+
+    def test_multi_column_object_ids(self):
+        relation = Relation(
+            ["k1", "k2", "a", "sourceID"],
+            [(1, "p", "x", "s1"), (1.0, "p", "y", "s2"), (True, "p", "z", "s3")],
+            name="r",
+        )
+        result = fuse(relation, ["k1", "k2"], resolutions={"a": "vote"})
+        assert len(result.relation) == 2
+        assert result.lineage.lookup((1.0, "p"), "a").sources == frozenset({"s1"})
+        assert result.lineage.lookup((True, "p"), "a").sources == frozenset({"s3"})
+
+
+class TestCellLineageRecord:
+    def test_is_a_named_tuple_of_its_fields(self):
+        record = CellLineage("price", 7, frozenset({"a"}), False)
+        assert record == ("price", 7, frozenset({"a"}), False)
+        assert record._asdict() == {
+            "column": "price", "object_id": 7, "sources": frozenset({"a"}), "merged": False,
+        }
+        assert record._replace(merged=True).merged
+        assert record.single_source == "a"
+        assert CellLineage("c", 1, frozenset({"a", "b"}), True).single_source is None
+
+    def test_map_keeps_last_write_and_first_insertion_order(self):
+        lineage = LineageMap()
+        lineage.record(CellLineage("a", 1, frozenset({"s1"}), False))
+        lineage.record(CellLineage("b", 1, frozenset({"s1"}), False))
+        lineage.record(CellLineage("A", 1.0, frozenset({"s2"}), False))  # same cell
+        assert [(r.column, r.sources) for r in lineage] == [
+            ("A", frozenset({"s2"})), ("b", frozenset({"s1"})),
+        ]
+        # a record after the first read still lands in the index
+        lineage.record(CellLineage("c", 2, frozenset({"s3"}), False))
+        assert len(lineage) == 3
+        assert lineage.lookup(2, "C").sources == frozenset({"s3"})
+        assert lineage.sources_used() == ["s1", "s2", "s3"]
+        assert LineageMap(list(lineage)).lookup(1, "a").sources == frozenset({"s2"})
+
 
 class TestConflictReport:
     def test_find_conflicts_classifies_kinds(self, clustered):
@@ -246,6 +315,38 @@ class TestLazyGroupMaterialisation:
         assert result.relation.column("name") == ["Anna Schmidt", "Ben Mueller", "Elena Wolf"]
         # one wrapper per input tuple of each group, built exactly once
         assert len(allocations) == 4
+
+    def test_copied_groups_build_no_factories(self, clustered, monkeypatch):
+        """Only the multi-tuple group reads values through a context; the
+        one-tuple groups copy their cells and build no lazy factories."""
+        import repro.core.fusion as fusion_module
+
+        factories = []
+        original_once = fusion_module._once
+
+        def counting_once(factory):
+            factories.append(1)
+            return original_once(factory)
+
+        monkeypatch.setattr(fusion_module, "_once", counting_once)
+        result = fuse(clustered, ["objectID"])  # Coalesce declares
+        assert len(result.relation) == 3
+        assert len(factories) == 2  # rows and sources of object 0's group
+
+    def test_conflicts_then_fusion_encode_the_key_once(self, clustered, monkeypatch):
+        from repro.engine import columnar
+
+        encoded = []
+        original_encode = columnar.encode
+
+        def counting_encode(values, mask):
+            encoded.append(list(values))
+            return original_encode(values, mask)
+
+        monkeypatch.setattr(columnar, "encode", counting_encode)
+        find_conflicts(clustered)
+        fuse(clustered, ["objectID"])
+        assert encoded == [[0, 0, 1, 2]]
 
     def test_lineage_still_records_sources(self, clustered):
         result = fuse(clustered, ["objectID"])

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.baselines.name_matcher import NameBasedMatcher
+from repro.datagen.scenarios import cd_stores_scenario
 from repro.engine.relation import Relation
+from repro.matching import dumas, duplicate_seed
 from repro.matching.correspondences import Correspondence, CorrespondenceSet
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher
@@ -13,6 +15,14 @@ from repro.matching.transform import (
     apply_correspondences,
     transform_sources,
 )
+
+
+def fingerprint(result):
+    """Seeds and correspondences of a pairwise match, exact floats included."""
+    return (
+        [(s.left_index, s.right_index, s.similarity) for s in result.seeds],
+        [(c.left_attribute, c.right_attribute, c.score) for c in result.correspondences],
+    )
 
 
 class TestMultiMatcher:
@@ -45,6 +55,33 @@ class TestMultiMatcher:
         result = with_fallback.match([ee_students, disjoint])
         assert result.failed_relations == []
         assert len(result.correspondences) >= 2
+
+    def test_cold_match_builds_each_relation_statistics_once(self, monkeypatch):
+        """The preferred store is in every pairwise match, yet its seeding
+        statistics and field-corpus counts are built once per match() call,
+        and every pairwise result equals a standalone pairwise match."""
+        sources = cd_stores_scenario(entity_count=40, store_count=4, seed=7).source_list
+        builds = []
+        for module, name in (
+            (duplicate_seed, "compute_seed_statistics"),
+            (dumas, "field_corpus_counts"),
+        ):
+            def counting(relation, *args, original=getattr(module, name), name=name):
+                builds.append((name, relation.name))
+                return original(relation, *args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        result = MultiMatcher().match(sources)
+        assert sorted(builds) == sorted(
+            (name, source.name)
+            for name in ("compute_seed_statistics", "field_corpus_counts")
+            for source in sources
+        )
+        assert set(result.per_relation) == {source.name for source in sources[1:]}
+        for other in sources[1:]:
+            alone = DumasMatcher().match(sources[0], other)
+            assert fingerprint(result.per_relation[other.name]) == fingerprint(alone)
 
     def test_rename_mapping_for_relation(self, ee_students, cs_students):
         result = MultiMatcher().match([ee_students, cs_students])

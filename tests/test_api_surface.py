@@ -168,10 +168,10 @@ SIGNATURES = {
     ],
     "MultiMatcher.match": ["self", "relations", "prepared", "progress_callback", "scoring"],
     "DumasMatcher.match": [
-        "self", "left", "right", "prepared", "progress_callback", "scoring",
+        "self", "left", "right", "prepared", "progress_callback", "scoring", "memo",
     ],
     "DuplicateSeeder.find_seeds": [
-        "self", "left", "right", "prepared", "progress_callback", "scoring",
+        "self", "left", "right", "prepared", "progress_callback", "scoring", "memo",
     ],
     "BlockingStrategy.pairs": ["self", "relation", "attributes", "prepared"],
 }

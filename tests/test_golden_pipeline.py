@@ -2,10 +2,12 @@
 
 Runs fusion over two small committed CSV sources (heterogeneous schemas,
 typo'd duplicates, one age conflict) and compares everything the candidate
-stage influences — fused rows, duplicate pairs, cluster count and the
-``FilterStatistics`` counters — against a checked-in golden file.  A
-refactor of blocking, filtering, scoring or clustering that silently
-changes fusion results fails here even if every unit test still passes.
+stage influences — fused rows, duplicate pairs, cluster count, the
+``FilterStatistics`` counters, every cell's lineage, the conflict report
+and the resolved-conflict count — against a checked-in golden file.  A
+refactor of blocking, filtering, scoring, clustering, grouping or
+resolution that silently changes fusion results fails here even if every
+unit test still passes.
 
 To regenerate after an *intentional* behaviour change::
 
@@ -46,6 +48,18 @@ def run_golden_pipeline():
         "duplicate_pairs": [list(pair) for pair in result.detection.duplicate_pairs],
         "cluster_count": result.detection.cluster_count,
         "filter_statistics": result.detection.filter_statistics.as_dict(),
+        "lineage": [
+            [object_id, column, sources, merged]
+            for object_id, column, sources, merged in sorted(
+                (record.object_id, record.column, sorted(record.sources), record.merged)
+                for record in result.fusion.lineage
+            )
+        ],
+        "conflicts": [
+            [conflict.object_id, conflict.column, conflict.kind.value]
+            for conflict in result.conflicts.conflicts
+        ],
+        "resolved_conflict_count": result.fusion.resolved_conflict_count,
     }
 
 
