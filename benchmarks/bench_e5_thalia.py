@@ -55,7 +55,7 @@ def test_e5_thalia_coverage(benchmark):
     )
     # Expected shape: at least the renaming-style classes are bridged.
     bridged_classes = {row[0] for row in rows if row[4] == "yes"}
-    assert AUTOMATABLE_CATEGORIES & bridged_classes == AUTOMATABLE_CATEGORIES & bridged_classes
+    assert AUTOMATABLE_CATEGORIES <= bridged_classes
     assert len(bridged_classes) >= 3
 
     benchmark.pedantic(lambda: run_category(1), rounds=1, iterations=1)

@@ -99,22 +99,25 @@ class TokenBlocking(BlockingStrategy):
         every distinct cell is tokenised once, and a row reads its cells'
         token sets by code — no row tuple or :class:`Row` view is
         materialised.  The dictionary is encoded afresh on every call, so a
-        relation mutated in place is indexed as it now is.  Iteration stays
-        rows-outer, with each row's token set unioned in attribute order, so
-        token postings (and therefore candidate emission order) are
-        identical to the row-at-a-time build.
+        relation mutated in place is indexed as it now is.  Iteration is
+        rows-outer; a row unions its cells' tokens, each cell's in sorted
+        order, into an insertion-ordered dict in attribute order.  So the
+        token order of the index, and with it the candidate emission order,
+        is a function of the relation alone, never of string hashing
+        (``PYTHONHASHSEED``).
         """
         index: Dict[str, List[int]] = {}
         encoded = []
         for attribute, position in self.key_values(relation, attributes):
             values, _, codes = encode(relation.column_at(position), relation.null_mask(attribute))
-            encoded.append(([self.tokens(value) for value in values], codes))
+            cells = [dict.fromkeys(sorted(self.tokens(value))) for value in values]
+            encoded.append((cells, codes))
         for row_index in range(len(relation)):
-            row_tokens: Set[str] = set()
-            for tokens, codes in encoded:
+            row_tokens: Dict[str, None] = {}
+            for cells, codes in encoded:
                 code = codes[row_index]
                 if code >= 0:
-                    row_tokens.update(tokens[code])
+                    row_tokens.update(cells[code])
             for token in row_tokens:
                 index.setdefault(token, []).append(row_index)
         return index

@@ -436,9 +436,15 @@ class ColumnarPairScorer:
         return idf
 
     def _token_similarity(self, token: str, other: str) -> float:
-        """Jaro-Winkler of two tokens, memoised scorer-wide for Monge-Elkan."""
-        key = (token, other)
-        similarity = self._token_similarities.get(key)
+        """Jaro-Winkler of two tokens, memoised scorer-wide for Monge-Elkan.
+
+        Jaro-Winkler is symmetric bit for bit, so one evaluation fills both
+        orientations and Monge-Elkan's backward pass reads the forward one's.
+        """
+        similarities = self._token_similarities
+        similarity = similarities.get((token, other))
         if similarity is None:
-            similarity = self._token_similarities[key] = jaro_winkler_similarity(token, other)
+            similarity = similarities[token, other] = similarities[other, token] = (
+                jaro_winkler_similarity(token, other)
+            )
         return similarity

@@ -3,9 +3,20 @@
 Jaro-Winkler is the secondary (within-token) measure of SoftTFIDF as defined
 by Cohen, Ravikumar & Fienberg (2003), which HumMer uses for field-wise
 comparison of duplicate tuples during schema matching.
+
+Both measures are symmetric bit for bit: ``f(a, b)`` and ``f(b, a)`` are the
+same float.  For each character, greedy in-window matching pairs its
+occurrences in the two strings in the same order whichever side leads, so
+the match count and the transpositions agree; ``m/|a| + m/|b|`` is one IEEE
+addition, which commutes; and the common prefix is common to both.  Callers
+that memoise token pairs may therefore store one result under both
+orientations.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import ne
 
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.tokenize import normalize_text
@@ -14,7 +25,13 @@ __all__ = ["jaro_similarity", "jaro_winkler_similarity", "JaroWinklerSimilarity"
 
 
 def jaro_similarity(left: str, right: str) -> float:
-    """Jaro similarity of two strings, in ``[0, 1]``."""
+    """Jaro similarity of two strings, in ``[0, 1]``.
+
+    Each character of *left* matches the first untaken equal character of
+    *right* inside the match window.  ``str.find`` scans the window for it
+    in C and a ``bytearray`` marks the taken positions, so only the
+    occurrences of the character are visited, not every cell of the window.
+    """
     left = "" if left is None else str(left)
     right = "" if right is None else str(right)
     if left == right:
@@ -22,36 +39,26 @@ def jaro_similarity(left: str, right: str) -> float:
     len_left, len_right = len(left), len(right)
     if len_left == 0 or len_right == 0:
         return 0.0
-    match_window = max(len_left, len_right) // 2 - 1
-    match_window = max(match_window, 0)
+    window = max(max(len_left, len_right) // 2 - 1, 0)
 
-    left_matched = [False] * len_left
-    right_matched = [False] * len_right
-    matches = 0
+    find = right.find
+    taken = bytearray(len_right)
+    left_matched = []
     for i, char in enumerate(left):
-        start = max(0, i - match_window)
-        end = min(i + match_window + 1, len_right)
-        for j in range(start, end):
-            if right_matched[j] or right[j] != char:
-                continue
-            left_matched[i] = True
-            right_matched[j] = True
-            matches += 1
-            break
+        end = i + window + 1
+        j = find(char, i - window if i > window else 0, end)
+        while j >= 0 and taken[j]:
+            j = find(char, j + 1, end)
+        if j >= 0:
+            taken[j] = 1
+            left_matched.append(char)
+    matches = len(left_matched)
     if matches == 0:
         return 0.0
 
-    transpositions = 0
-    j = 0
-    for i in range(len_left):
-        if not left_matched[i]:
-            continue
-        while not right_matched[j]:
-            j += 1
-        if left[i] != right[j]:
-            transpositions += 1
-        j += 1
-    transpositions //= 2
+    # Half the positions where the matched characters, read in order on
+    # each side, disagree.
+    transpositions = sum(map(ne, left_matched, compress(right, taken))) // 2
 
     return (
         matches / len_left + matches / len_right + (matches - transpositions) / matches
@@ -61,14 +68,24 @@ def jaro_similarity(left: str, right: str) -> float:
 def jaro_winkler_similarity(
     left: str, right: str, prefix_scale: float = 0.1, max_prefix: int = 4
 ) -> float:
-    """Jaro-Winkler similarity: Jaro boosted by the length of the common prefix."""
+    """Jaro-Winkler similarity: Jaro boosted by the length of the common prefix.
+
+    The boost closes ``prefix * prefix_scale`` of the gap to 1, so the
+    result stays in ``[0, 1]`` only while ``prefix_scale * max_prefix <= 1``.
+    A larger or negative ``prefix_scale``, or a negative ``max_prefix``,
+    raises :class:`ValueError`.
+    """
+    if not 0.0 <= prefix_scale or max_prefix < 0 or prefix_scale * max_prefix > 1.0:
+        raise ValueError(
+            "prefix_scale must lie in [0, 1 / max_prefix] and max_prefix must be "
+            f"non-negative; got prefix_scale={prefix_scale!r}, max_prefix={max_prefix!r}"
+        )
     base = jaro_similarity(left, right)
     left = "" if left is None else str(left)
     right = "" if right is None else str(right)
+    limit = min(max_prefix, len(left), len(right))
     prefix = 0
-    for l_char, r_char in zip(left[:max_prefix], right[:max_prefix]):
-        if l_char != r_char:
-            break
+    while prefix < limit and left[prefix] == right[prefix]:
         prefix += 1
     return base + prefix * prefix_scale * (1.0 - base)
 
@@ -77,6 +94,9 @@ class JaroWinklerSimilarity(SimilarityMeasure):
     """Object wrapper around :func:`jaro_winkler_similarity` with text normalisation."""
 
     def __init__(self, prefix_scale: float = 0.1, normalize: bool = True):
+        # The same check as the function's, at construction rather than on
+        # the first comparison.
+        jaro_winkler_similarity("", "", prefix_scale=prefix_scale)
         self.prefix_scale = prefix_scale
         self.normalize = normalize
 

@@ -25,11 +25,27 @@ def levenshtein_distance(left: str, right: str) -> int:
     O(len(longer)) big-int steps instead of O(len(left) * len(right)) cell
     updates.  Python ints have no word size, so the distance is exact at any
     length.
+
+    A common prefix or suffix never costs an edit, so both are stripped
+    first (the distance is unchanged); values that share a domain or a
+    first name then run the loop over their differing middles only.
     """
     left = "" if left is None else str(left)
     right = "" if right is None else str(right)
     if left == right:
         return 0
+    shorter = min(len(left), len(right))
+    start = 0
+    while start < shorter and left[start] == right[start]:
+        start += 1
+    end_left, end_right = len(left), len(right)
+    while (
+        end_left > start and end_right > start and left[end_left - 1] == right[end_right - 1]
+    ):
+        end_left -= 1
+        end_right -= 1
+    left = left[start:end_left]
+    right = right[start:end_right]
     if not left:
         return len(right)
     if not right:

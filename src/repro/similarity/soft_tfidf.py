@@ -128,13 +128,20 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
         return vector
 
     def _secondary_similarity(self, left_token: str, right_token: str) -> float:
-        """The secondary measure, memoised per token pair."""
+        """The secondary measure, memoised per token pair.
+
+        The default Jaro-Winkler is symmetric bit for bit, so its result is
+        also stored for the reversed pair, which the reverse ``_directed``
+        pass asks for; any other secondary keeps one entry per ordered pair.
+        """
         key = (left_token, right_token)
         similarity = self._secondary_cache.get(key)
         if similarity is None:
             similarity = self._remember(
                 self._secondary_cache, key, self.secondary(left_token, right_token)
             )
+            if self.secondary is jaro_winkler_similarity:
+                self._remember(self._secondary_cache, (right_token, left_token), similarity)
         return similarity
 
     def _directed(self, source: Dict[str, float], target: Dict[str, float]) -> float:

@@ -1,5 +1,9 @@
 """Tests for the pluggable blocking subsystem."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -263,19 +267,21 @@ class TestTokenBlocking:
         assert index  # the build still produced postings
 
     def test_index_build_matches_row_at_a_time_reference(self, people):
-        # Same postings, same order, as a naive per-row rebuild.
+        # Same postings, same token order, as a naive per-row rebuild that
+        # adds each cell's tokens in sorted order.
         strategy = TokenBlocking()
         expected = {}
         for index, row in enumerate(people):
-            tokens = set()
+            tokens = {}
             for attribute in ("name", "city"):
                 value = row[attribute]
                 if value is None:
                     continue
-                tokens |= strategy.tokens(value)
+                tokens.update(dict.fromkeys(sorted(strategy.tokens(value))))
             for token in tokens:
                 expected.setdefault(token, []).append(index)
-        assert strategy.build_index(people, ["name", "city"]) == expected
+        index = strategy.build_index(people, ["name", "city"])
+        assert list(index.items()) == list(expected.items())
 
     def test_index_provider_serves_prepared_index(self, people, monkeypatch):
         # A prepared run hands pairs() its view, whose token_index merges
@@ -350,6 +356,43 @@ class TestTokenBlocking:
         assert (0, 1) in set(TokenBlocking().pairs(relation, ["name", "city"]))
         snm = SortedNeighborhoodBlocking(window=2, keys=["name"])
         assert (0, 1) in set(snm.pairs(relation, ["name"]))
+
+
+# Fuses a 60-entity students input with token blocking, cold and over
+# eagerly prepared sources, and prints every scored pair in detection order.
+SCORE_ORDER_SCRIPT = """
+from repro import DedupConfig, FusionConfig, HumMer, PrepareConfig
+from repro.datagen.scenarios import students_scenario
+
+dataset = students_scenario(entity_count=60, seed=7)
+for mode in (None, "eager"):
+    config = FusionConfig(dedup=DedupConfig(blocking="token"), prepare=PrepareConfig(mode=mode))
+    hummer = HumMer(config=config)
+    for alias, relation in dataset.sources.items():
+        hummer.register(alias, relation)
+    result = hummer.fuse(list(dataset.sources))
+    print(mode)
+    for score in result.detection.scores:
+        print(score.left_index, score.right_index, score.similarity.hex())
+"""
+
+
+def test_token_blocking_score_order_does_not_depend_on_the_hash_seed():
+    # A row's tokens must not be read in the order of a set: that order
+    # follows string hashing, which PYTHONHASHSEED varies per process.
+    source = str(Path(__file__).resolve().parents[2] / "src")
+
+    def scored(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = source + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-c", SCORE_ORDER_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.splitlines()
+
+    first = scored("1")
+    assert len(first) > 100
+    assert scored("2") == first
 
 
 class TestDetectorIntegration:

@@ -1,9 +1,11 @@
 """The one in-process scoring path is bit-identical to the per-pair loop."""
 
+from collections import Counter
 from decimal import Decimal
 
 import pytest
 
+from repro.dedup import similarity_measure
 from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
 from repro.dedup.executor import SerialExecutor
@@ -13,6 +15,7 @@ from repro.engine.relation import Relation
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher
 from repro.matching.transform import transform_sources
+from repro.similarity.jaro import jaro_winkler_similarity
 
 
 def combined_relation(dataset):
@@ -109,6 +112,32 @@ class TestColumnarBatchParity:
             measure.compare_rows(rows[i], rows[j]).hex() for i, j in pairs
         ]
         assert scorer.explain(pairs) == [measure.explain_rows(rows[i], rows[j]) for i, j in pairs]
+
+    def test_one_jaro_winkler_per_unordered_token_pair(
+        self, small_students_dataset, monkeypatch
+    ):
+        # Jaro-Winkler is symmetric bit for bit, so the scorer-wide token
+        # table serves Monge-Elkan's backward pass, and a pair scored in
+        # both orientations, from the forward pass's single evaluation.
+        relation, measure, pairs = self.setup_scoring(small_students_dataset)
+        calls = []
+
+        def counting(left, right):
+            calls.append((left, right))
+            return jaro_winkler_similarity(left, right)
+
+        monkeypatch.setattr(similarity_measure, "jaro_winkler_similarity", counting)
+        scorer = measure.columnar_scorer(relation)
+        both_ways = pairs + [(j, i) for i, j in pairs]
+        scores = scorer.similarities(both_ways)
+        monkeypatch.undo()
+
+        unordered = Counter(frozenset(pair) for pair in calls)
+        assert calls and set(unordered.values()) == {1}
+        rows = relation.rows
+        assert [score.hex() for score in scores] == [
+            measure.compare_rows(rows[i], rows[j]).hex() for i, j in both_ways
+        ]
 
 
 class TestSerialParity:

@@ -225,10 +225,10 @@ class TestReadersMatchPerCellReferences:
         names = list(relation.column_names)
         expected = {}
         for row_index, row in enumerate(relation.rows):
-            row_tokens = set()
+            row_tokens = {}
             for value in row:
                 if not is_null(value):
-                    row_tokens.update(strategy.tokens(value))
+                    row_tokens.update(dict.fromkeys(sorted(strategy.tokens(value))))
             for token in row_tokens:
                 expected.setdefault(token, []).append(row_index)
         assert list(strategy.build_index(relation, names).items()) == list(expected.items())

@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from repro.datagen.scenarios import students_scenario
+from repro.engine.io.csv_source import relation_to_csv_text
 from repro.service import ServiceClient
 from repro.service.client import ServiceError
 
@@ -247,14 +249,19 @@ class TestEventStream:
 
 
 class TestTimeouts:
-    def test_slow_step_times_out_with_504(self, server, golden_csv):
-        # a dedicated tenant whose requests run against a tiny ceiling
+    def test_slow_step_times_out_with_504(self, server):
+        # a dedicated tenant whose requests run against a tiny ceiling.  The
+        # input is large enough that running to completion (one blocking
+        # step) lasts many thread switch intervals: the small golden input
+        # could finish before the event loop ran the timeout callback, and
+        # asyncio.wait_for then returns the result instead of timing out.
         client = ServiceClient(server.base_url)
         client.create_tenant()
+        dataset = students_scenario(entity_count=80, seed=3)
         try:
-            for alias, text in golden_csv.items():
-                client.upload_csv(alias, text)
-            session = client.create_session(list(golden_csv))["session"]
+            for alias, relation in dataset.sources.items():
+                client.upload_csv(alias, relation_to_csv_text(relation))
+            session = client.create_session(list(dataset.sources))["session"]
             old_timeout = server.state.step_timeout
             server.state.step_timeout = 0.000001
             try:

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for the similarity substrate."""
 
+import itertools
 import re
 import string
 import unicodedata
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.similarity import (
     jaccard_similarity,
+    jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
@@ -38,6 +40,56 @@ def dp_levenshtein(left, right):
     return previous[-1]
 
 
+def nested_loop_jaro(left, right):
+    """Jaro with the window scanned cell by cell: the oracle for ``str.find`` matching."""
+    if left == right:
+        return 1.0
+    len_left, len_right = len(left), len(right)
+    if len_left == 0 or len_right == 0:
+        return 0.0
+    match_window = max(max(len_left, len_right) // 2 - 1, 0)
+    left_matched = [False] * len_left
+    right_matched = [False] * len_right
+    matches = 0
+    for i, char in enumerate(left):
+        start = max(0, i - match_window)
+        end = min(i + match_window + 1, len_right)
+        for j in range(start, end):
+            if right_matched[j] or right[j] != char:
+                continue
+            left_matched[i] = True
+            right_matched[j] = True
+            matches += 1
+            break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i in range(len_left):
+        if not left_matched[i]:
+            continue
+        while not right_matched[j]:
+            j += 1
+        if left[i] != right[j]:
+            transpositions += 1
+        j += 1
+    transpositions //= 2
+    return (
+        matches / len_left + matches / len_right + (matches - transpositions) / matches
+    ) / 3.0
+
+
+def nested_loop_jaro_winkler(left, right):
+    """Jaro-Winkler (scale 0.1, prefix at most 4) over :func:`nested_loop_jaro`."""
+    base = nested_loop_jaro(left, right)
+    prefix = 0
+    for l_char, r_char in zip(left[:4], right[:4]):
+        if l_char != r_char:
+            break
+        prefix += 1
+    return base + prefix * 0.1 * (1.0 - base)
+
+
 # A small non-ASCII alphabet keeps characters recurring, so distances are
 # neither trivially 0 nor trivially the longer length; lengths 0-150 cross
 # the 64- and 128-bit boundaries of the bit vectors.
@@ -64,6 +116,18 @@ def edited_pair(draw):
             else:
                 edited[position] = char
     return source, "".join(edited)
+
+
+@st.composite
+def affixed_pair(draw, alphabet=NON_ASCII):
+    """Two strings that share a generated prefix and suffix around distinct middles."""
+    part = st.text(alphabet=alphabet, max_size=12)
+    prefix, suffix = draw(part), draw(part)
+    return prefix + draw(part) + suffix, prefix + draw(part) + suffix
+
+
+# Few letters, so every character recurs inside the match window.
+repeated_letters = st.text(alphabet="aab", max_size=16)
 
 
 class TestLevenshteinProperties:
@@ -108,12 +172,72 @@ class TestLevenshteinOracle:
         assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
         assert levenshtein_distance(b, a) == dp_levenshtein(a, b)
 
+    @given(affixed_pair())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_prefixes_and_suffixes(self, pair):
+        a, b = pair
+        assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+        assert levenshtein_distance(b, a) == dp_levenshtein(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("aaa", "aaaa"),  # the prefix and the suffix would overlap
+            ("abcab", "ab"),
+            ("x@example.edu", "y@example.edu"),
+            ("anna.schmidt@example.edu", "anna.schmitd@example.edu"),
+        ],
+    )
+    def test_affixes_that_overlap_or_cover_a_side(self, a, b):
+        assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+        assert levenshtein_distance(b, a) == dp_levenshtein(a, b)
+
     @pytest.mark.parametrize("size", [63, 64, 65, 127, 128, 129])
     def test_word_boundaries(self, size):
         a = ("abcä" * 40)[:size]
         b = a[1:] + "ß"
         assert levenshtein_distance(a, b) == dp_levenshtein(a, b) == 2
         assert levenshtein_distance(a, "") == size
+
+
+class TestJaroOracle:
+    """``str.find`` matching gives the nested-loop Jaro's float, bit for bit."""
+
+    @given(st.text(max_size=24), st.text(max_size=24))
+    @settings(max_examples=300)
+    def test_unicode_text(self, a, b):
+        assert jaro_similarity(a, b).hex() == nested_loop_jaro(a, b).hex()
+        assert jaro_winkler_similarity(a, b).hex() == nested_loop_jaro_winkler(a, b).hex()
+
+    @given(repeated_letters, repeated_letters)
+    @settings(max_examples=300)
+    def test_repeated_letters(self, a, b):
+        assert jaro_similarity(a, b).hex() == nested_loop_jaro(a, b).hex()
+        assert jaro_winkler_similarity(a, b).hex() == nested_loop_jaro_winkler(a, b).hex()
+
+    @given(affixed_pair(alphabet="abcä "))
+    @settings(max_examples=300)
+    def test_shared_prefixes_and_suffixes(self, pair):
+        a, b = pair
+        assert jaro_similarity(a, b).hex() == nested_loop_jaro(a, b).hex()
+        assert jaro_winkler_similarity(a, b).hex() == nested_loop_jaro_winkler(a, b).hex()
+
+    def test_jaro_winkler_is_symmetric_bit_for_bit(self):
+        # Every ordered pair of {a,b}-strings up to length 7 and of
+        # {a,b,c}-strings up to length 4: the memo tables store one result
+        # under both orientations on the strength of this.
+        def strings(alphabet, longest):
+            for size in range(longest + 1):
+                for letters in itertools.product(alphabet, repeat=size):
+                    yield "".join(letters)
+
+        for alphabet, longest in (("ab", 7), ("abc", 4)):
+            words = list(strings(alphabet, longest))
+            for a in words:
+                for b in words:
+                    assert jaro_winkler_similarity(a, b).hex() == (
+                        jaro_winkler_similarity(b, a).hex()
+                    ), (a, b)
 
 
 def nfkd_normalize_text(text):
@@ -135,12 +259,15 @@ class TestNormalizeTextOracle:
 
 
 class TestBoundedSymmetricMeasures:
-    @given(text, text)
-    @settings(max_examples=60)
-    def test_jaro_winkler_bounds_and_symmetry(self, a, b):
-        forward = jaro_winkler_similarity(a, b)
-        assert 0.0 <= forward <= 1.0 + 1e-9
-        assert abs(forward - jaro_winkler_similarity(b, a)) < 1e-9
+    @given(text, text, text, st.sampled_from([(0.1, 4), (0.25, 4), (0.5, 2), (1.0, 1)]))
+    @settings(max_examples=100)
+    def test_jaro_winkler_bounds_and_symmetry(self, prefix, a, b, boost):
+        # The default boost and the largest valid ones, over shared prefixes.
+        prefix_scale, max_prefix = boost
+        forward = jaro_winkler_similarity(prefix + a, prefix + b, prefix_scale, max_prefix)
+        backward = jaro_winkler_similarity(prefix + b, prefix + a, prefix_scale, max_prefix)
+        assert 0.0 <= forward <= 1.0
+        assert forward.hex() == backward.hex()
 
     @given(text, text)
     @settings(max_examples=60)

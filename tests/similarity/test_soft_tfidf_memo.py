@@ -10,7 +10,8 @@ from collections import Counter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.similarity import SoftTfIdfSimilarity
+from repro.similarity import SoftTfIdfSimilarity, soft_tfidf
+from repro.similarity.jaro import jaro_winkler_similarity
 from repro.similarity.tokenize import tokenize
 
 CORPUS = [
@@ -104,3 +105,42 @@ class TestVectorMemo:
                 ] == expected, size
             assert len(bounded._vectors) <= size
             assert len(bounded._secondary_cache) <= size
+
+
+class TestSymmetricSecondaryMemo:
+    """Jaro-Winkler is symmetric bit for bit, so one SoftTF-IDF comparison
+    evaluates it once per unordered token pair: the reverse ``_directed``
+    pass reads what the forward pass stored."""
+
+    def test_one_jaro_winkler_per_unordered_token_pair(self, monkeypatch):
+        calls = []
+
+        def counting(left, right):
+            calls.append((left, right))
+            return jaro_winkler_similarity(left, right)
+
+        # The memo recognises the default secondary by identity.
+        monkeypatch.setattr(soft_tfidf, "jaro_winkler_similarity", counting)
+        measure = SoftTfIdfSimilarity(corpus=CORPUS, secondary=counting)
+        left, right = "humboldt universitaet zu berlin", "humbolt universitat berlim"
+        score = measure.compare(left, right)
+
+        unordered = Counter(frozenset(pair) for pair in calls)
+        assert calls and set(unordered.values()) == {1}
+        # Both orientations were asked for, and the second one was served.
+        assert {(b, a) for a, b in calls} <= set(measure._secondary_cache)
+        assert score.hex() == fresh_score(CORPUS, left, right)
+
+    def test_a_pluggable_secondary_keeps_one_entry_per_ordered_pair(self):
+        def leading(left, right):  # asymmetric on purpose
+            return 0.95 if left[:1] == right[:1] and len(left) <= len(right) else 0.0
+
+        measure = SoftTfIdfSimilarity(corpus=CORPUS, secondary=leading)
+        uncached = SoftTfIdfSimilarity(corpus=CORPUS, secondary=leading, secondary_cache_size=0)
+        pairs = [(left, right) for left in LEFT for right in RIGHT]
+        for _ in range(2):
+            assert [measure.compare(a, b).hex() for a, b in pairs] == [
+                uncached.compare(a, b).hex() for a, b in pairs
+            ]
+        cache = measure._secondary_cache
+        assert all(cache[left, right] == leading(left, right) for left, right in cache)

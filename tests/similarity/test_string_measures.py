@@ -100,6 +100,26 @@ class TestJaro:
     def test_object_wrapper_normalises(self):
         assert JaroWinklerSimilarity()("MARTHA", "martha") == 1.0
 
+    @pytest.mark.parametrize(
+        "prefix_scale,max_prefix", [(0.3, 4), (-0.1, 4), (0.6, 2), (float("nan"), 4), (0.1, -1)]
+    )
+    def test_winkler_rejects_a_boost_past_one(self, prefix_scale, max_prefix):
+        # prefix_scale 0.3 would score "abcdx" / "abcdy" at 1.0267.
+        with pytest.raises(ValueError, match="prefix_scale"):
+            jaro_winkler_similarity(
+                "abcdx", "abcdy", prefix_scale=prefix_scale, max_prefix=max_prefix
+            )
+
+    def test_object_wrapper_rejects_a_boost_past_one_when_built(self):
+        with pytest.raises(ValueError, match="prefix_scale"):
+            JaroWinklerSimilarity(prefix_scale=0.3)
+        with pytest.raises(ValueError, match="prefix_scale"):
+            JaroWinklerSimilarity(prefix_scale=-0.1)
+
+    def test_winkler_largest_valid_boost_reaches_one_at_most(self):
+        assert JaroWinklerSimilarity(prefix_scale=0.25)("abcdx", "abcdy") <= 1.0
+        assert jaro_winkler_similarity("abcdx", "abcdy", prefix_scale=0.5, max_prefix=2) <= 1.0
+
 
 class TestTokenMeasures:
     def test_ngram_identical_and_disjoint(self):
