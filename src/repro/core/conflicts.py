@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set
 
 from repro.engine.relation import Relation
 from repro.engine.types import is_null, value_key
@@ -110,9 +110,15 @@ def find_conflicts(
 ) -> ConflictReport:
     """Find every conflict in a relation that already carries object ids.
 
-    Clusters are the groups of :func:`~repro.engine.operators.groupby.group_rows`
-    on *object_column*; only the rows of multi-tuple clusters are read, since
-    one tuple cannot conflict with itself.
+    Clusters are the groups of :func:`~repro.engine.operators.groupby.group_indices`
+    on *object_column*; only the members of multi-tuple clusters are read,
+    since one tuple cannot conflict with itself.  Each (cluster, column) is
+    classified from the column's cached dictionary, as
+    :func:`classify_values` would classify its values: code ``-1`` is null
+    and one code is one value, so ``value_key`` runs only for a cluster
+    holding two different non-null codes, once per code (``10`` and ``10.0``
+    still agree).  A conflict's ``values`` and ``sources`` are built only
+    when it is reported, and one cluster's conflicts share one ``sources``.
     """
     from repro.engine.operators.groupby import group_keys
 
@@ -120,41 +126,65 @@ def find_conflicts(
     ignored.add(object_column.lower())
     # provenance is bookkeeping, not data: differing sourceIDs are not a conflict
     ignored.add(source_column.lower())
-    source_position = (
-        relation.schema.position(source_column)
-        if relation.schema.has_column(source_column)
-        else None
+    source_values = (
+        relation.column(source_column) if relation.schema.has_column(source_column) else None
     )
-    object_position = relation.schema.position(object_column)
+    object_values = relation.column(object_column)
     report = ConflictReport()
     keys = group_keys(relation, [object_column])
     sizes = Counter(keys)
     report.cluster_count = len(sizes)
-    clusters: Dict[Hashable, List[tuple]] = {key: [] for key, size in sizes.items() if size > 1}
+    clusters: Dict[Hashable, List[int]] = {key: [] for key, size in sizes.items() if size > 1}
     report.multi_tuple_cluster_count = len(clusters)
+    if not clusters:
+        return report
     for index, key in enumerate(keys):
         members = clusters.get(key)
         if members is not None:
-            members.append(relation.row_values(index))
-    for rows in clusters.values():
-        object_id = rows[0][object_position]
-        sources = [
-            None if source_position is None else row[source_position] for row in rows
-        ]
-        for position, column in enumerate(relation.schema):
-            if column.name.lower() in ignored:
-                continue
-            values = [row[position] for row in rows]
-            kind = classify_values(values)
+            members.append(index)
+    columns = [
+        (column.name, relation.column_at(position), relation.dictionary(column.name), {})
+        for position, column in enumerate(relation.schema)
+        if column.name.lower() not in ignored
+    ]
+    for members in clusters.values():
+        sources = None
+        for name, values, (distinct, _, codes), value_keys in columns:
+            kind = _classify_codes({codes[index] for index in members}, distinct, value_keys)
             if kind is ConflictKind.NONE:
                 continue
+            if sources is None:
+                sources = [
+                    None if source_values is None else source_values[index] for index in members
+                ]
             report.conflicts.append(
                 Conflict(
-                    object_id=object_id,
-                    column=column.name,
+                    object_id=object_values[members[0]],
+                    column=name,
                     kind=kind,
-                    values=values,
+                    values=[values[index] for index in members],
                     sources=sources,
                 )
             )
     return report
+
+
+def _classify_codes(
+    codes: Set[int], distinct: List[Any], value_keys: Dict[int, tuple]
+) -> ConflictKind:
+    """:func:`classify_values` of one cluster's cells, from their set of
+    dictionary codes (``-1`` for null) over a column's *distinct* values;
+    *value_keys* caches ``value_key`` per code."""
+    if len(codes) == 1:
+        return ConflictKind.NONE  # one value, or nulls only
+    present = codes - {-1}
+    if len(present) > 1:
+        keys = set()
+        for code in present:
+            key = value_keys.get(code)
+            if key is None:
+                key = value_keys[code] = value_key(distinct[code])
+            keys.add(key)
+        if len(keys) > 1:
+            return ConflictKind.CONTRADICTION
+    return ConflictKind.UNCERTAINTY if -1 in codes else ConflictKind.NONE

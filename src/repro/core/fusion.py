@@ -6,8 +6,8 @@ to the query specification."
 
 :class:`FusionSpec` captures the query specification (which columns to
 output, which resolution function per column, the default Coalesce
-behaviour); :class:`FusionOperator` executes it and optionally records
-value-level lineage.
+behaviour); :class:`FusionOperator` executes it and keeps value-level
+lineage, whose records are built when first read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.core.resolution.base import (
     default_registry,
 )
 from repro.dedup.detector import OBJECT_ID_COLUMN
-from repro.engine.operators.groupby import group_rows
+from repro.engine.operators.groupby import group_indices
 from repro.engine.relation import Relation, Row
 from repro.engine.schema import Column, Schema
 from repro.engine.types import infer_column_type, is_null
@@ -136,18 +136,29 @@ class FusedGroup:
         row: the fused output tuple (key cells first, resolved cells after).
         resolved_conflicts: columns of this group whose values actually
             conflicted and were resolved.
-        lineage: per output column, the value-level lineage record.
+        members: the group's input row indices, ascending.
     """
 
     object_id: Any
     row: tuple
     resolved_conflicts: int
-    lineage: List[CellLineage] = field(default_factory=list)
+    members: List[int]
+    _lineage: "_GroupLineage" = field(repr=False)
+
+    @property
+    def lineage(self) -> List[CellLineage]:
+        """Per output column, the value-level lineage record (built on access)."""
+        return self._lineage.records(self.object_id, self.row, self.members)
 
 
 @dataclass
 class FusionResult:
-    """The fused relation plus lineage and statistics."""
+    """The fused relation plus lineage and statistics.
+
+    ``lineage`` builds its records on first read, from each fused row's
+    member row indices and the input relation's columns, which it keeps
+    referenced until then.
+    """
 
     relation: Relation
     lineage: LineageMap
@@ -208,54 +219,63 @@ class FusionOperator:
 
         Validation happens up front (a spec error raises here, not at first
         ``next()``); the returned iterator then yields one
-        :class:`FusedGroup` per cluster.  Only the grouping index — lists of
-        references to *input* rows — is held; output rows, lineage records
-        and the lazy per-group structures exist one group at a time, so a
-        consumer that does not retain the yields runs in input-bounded
-        memory no matter how large the materialised result would be.
-        :meth:`fuse` is exactly this stream, collected.
+        :class:`FusedGroup` per cluster.  Only the grouping index — the row
+        indices of each group — is held; output rows and the lazy per-group
+        structures exist one group at a time, and a group's lineage records
+        are built when its :attr:`FusedGroup.lineage` is read, so a consumer
+        that does not retain the yields runs in input-bounded memory no
+        matter how large the materialised result would be.  :meth:`fuse` is
+        exactly this stream, collected.
         """
-        output_specs, functions, input_positions = self._plan(relation)
-        return self._resolve_groups(relation, output_specs, functions, input_positions)
+        plan = self._plan(relation)
+        groups = group_indices(relation, self.spec.key_columns)
+        lineage = _GroupLineage(relation, *plan)
+        return (
+            FusedGroup(object_id, row, resolved_conflicts, members, lineage)
+            for object_id, row, resolved_conflicts, members in self._resolve_groups(
+                relation, groups, *plan
+            )
+        )
 
     def _resolve_groups(
         self,
         relation: Relation,
+        groups: List[List[int]],
         output_specs: List[ResolutionSpec],
         functions: List[ResolutionFunction],
         input_positions: List[int],
-    ) -> Iterator[FusedGroup]:
-        source_position = (
-            relation.schema.position(SOURCE_ID_COLUMN)
-            if relation.schema.has_column(SOURCE_ID_COLUMN)
-            else None
-        )
+    ) -> Iterator[Tuple[Any, tuple, int, List[int]]]:
+        """Resolve each group of row indices, in order; yields ``(object_id,
+        row, resolved_conflicts, members)``.  Cells are read from the input
+        columns by row index."""
+        schema = relation.schema
+        store = relation.store
+        key_columns = relation.columns(self.spec.key_columns)
+        source_values = _source_values(relation)
+        # A function that returns a lone value unchanged needs no context for
+        # a one-tuple group: its cell is copied (None for a null, per the null
+        # mask, which only those columns need).
         columns = [
-            (spec.output_name, spec.column, function, position, function.keeps_single_value)
+            (
+                spec.column,
+                function,
+                store.column(position),
+                store.null_mask(position) if function.keeps_single_value else None,
+            )
             for spec, function, position in zip(output_specs, functions, input_positions)
         ]
-        groups = group_rows(relation, self.spec.key_columns)
-        for done, (key_values, group) in enumerate(groups, start=1):
-            object_id = key_values[0] if len(key_values) == 1 else tuple(key_values)
-            cells = list(key_values)
+        single_key = len(key_columns) == 1
+        total = len(groups)
+        for done, members in enumerate(groups, start=1):
+            first = members[0]
+            cells = [column[first] for column in key_columns]
+            object_id = cells[0] if single_key else tuple(cells)
             resolved_conflicts = 0
-            lineage: List[CellLineage] = []
-            lone = group[0] if len(group) == 1 else None
-            if lone is not None:
-                source = None if source_position is None else lone[source_position]
-                lone_sources = _NO_SOURCES if source is None else frozenset((str(source),))
+            lone = len(members) == 1
             wrap_rows = group_sources = None
-            for name, column, function, position, keeps_single_value in columns:
-                if lone is not None and keeps_single_value:
-                    # A function that returns a lone value unchanged needs no
-                    # context: copy the cell.  One value cannot conflict, and
-                    # its lineage is its source (none for a null).
-                    value = lone[position]
-                    null = is_null(value)
-                    cells.append(None if null else value)
-                    lineage.append(
-                        CellLineage(name, object_id, _NO_SOURCES if null else lone_sources, False)
-                    )
+            for column, function, values, mask in columns:
+                if lone and mask is not None:
+                    cells.append(None if mask[first] else values[first])
                     continue
                 if wrap_rows is None:
                     # Row wrappers and per-source strings are built at most
@@ -265,74 +285,137 @@ class FusionOperator:
                     # single Row, and a group whose every cell is copied
                     # builds neither factory.
                     wrap_rows = _once(
-                        lambda group=group: [Row(relation.schema, values) for values in group]
-                    )
-                    group_sources = _once(
-                        lambda group=group: [
-                            None
-                            if source_position is None or values[source_position] is None
-                            else str(values[source_position])
-                            for values in group
+                        lambda members=members: [
+                            Row(schema, relation.row_values(index)) for index in members
                         ]
                     )
-                values = [group_values[position] for group_values in group]
+                    group_sources = _once(
+                        lambda members=members: _group_sources(source_values, members)
+                    )
                 context = ResolutionContext(
                     column=column,
-                    values=values,
+                    values=[values[index] for index in members],
                     rows=wrap_rows,
                     sources=group_sources,
                     object_id=object_id,
                     table_name=self.table_name,
                     metadata=self.metadata,
                 )
-                resolved = function.resolve(context)
+                cells.append(function.resolve(context))
                 if context.has_conflict:
                     resolved_conflicts += 1
-                cells.append(resolved)
-                lineage.append(
-                    trace_cell_lineage(name, object_id, resolved, values, context.sources)
-                )
-            yield FusedGroup(
-                object_id=object_id,
-                row=tuple(cells),
-                resolved_conflicts=resolved_conflicts,
-                lineage=lineage,
-            )
+            yield object_id, tuple(cells), resolved_conflicts, members
             if self.progress_callback is not None:
-                self.progress_callback("groups_resolved", done, len(groups))
+                self.progress_callback("groups_resolved", done, total)
 
     def fuse(self, relation: Relation) -> FusionResult:
         """Produce one clean tuple per object cluster.
 
-        Consumes :meth:`fuse_stream` — the streamed and the collected
-        spelling resolve groups through the same code path and produce
-        bit-identical rows, lineage and counters.
+        Consumes the resolution loop of :meth:`fuse_stream` — the streamed
+        and the collected spelling produce bit-identical rows, lineage and
+        counters.  The lineage map keeps each row's member indices and
+        builds its records on first read.
         """
-        output_specs, functions, input_positions = self._plan(relation)
-        records: List[CellLineage] = []
+        plan = output_specs, _, _ = self._plan(relation)
+        groups = group_indices(relation, self.spec.key_columns)
         rows: List[tuple] = []
         resolved_conflicts = 0
-        for fused_group in self._resolve_groups(
-            relation, output_specs, functions, input_positions
-        ):
-            rows.append(fused_group.row)
-            resolved_conflicts += fused_group.resolved_conflicts
-            records.extend(fused_group.lineage)
+        for _, row, conflicts, _ in self._resolve_groups(relation, groups, *plan):
+            rows.append(row)
+            resolved_conflicts += conflicts
 
+        key_width = len(self.spec.key_columns)
         key_schema_columns = [relation.schema.column(name) for name in self.spec.key_columns]
         value_columns = []
         for index, spec in enumerate(output_specs):
-            values = (row[len(self.spec.key_columns) + index] for row in rows)
+            values = (row[key_width + index] for row in rows)
             value_columns.append(Column(spec.output_name, infer_column_type(values)))
         schema = Schema(key_schema_columns + value_columns)
         fused = Relation(schema, rows, name=self.table_name or "fused")
+        group_lineage = _GroupLineage(relation, *plan)
+
+        def lineage_records() -> Iterator[CellLineage]:
+            for row, members in zip(fused.rows, groups):
+                object_id = row[0] if key_width == 1 else row[:key_width]
+                yield from group_lineage.records(object_id, row, members)
+
         return FusionResult(
             relation=fused,
-            lineage=LineageMap(records),
+            lineage=LineageMap.deferred(lineage_records, key_width=key_width),
             input_tuple_count=len(relation),
             output_tuple_count=len(fused),
             resolved_conflict_count=resolved_conflicts,
         )
+
+
+def _source_values(relation: Relation) -> Optional[List[Any]]:
+    """The ``sourceID`` column's values, or ``None`` without one."""
+    if not relation.schema.has_column(SOURCE_ID_COLUMN):
+        return None
+    return relation.column(SOURCE_ID_COLUMN)
+
+
+def _group_sources(
+    source_values: Optional[List[Any]], members: Sequence[int]
+) -> List[Optional[str]]:
+    """Each member row's ``sourceID`` as a string (``None`` when absent)."""
+    if source_values is None:
+        return [None] * len(members)
+    return [
+        None if source_values[index] is None else str(source_values[index]) for index in members
+    ]
+
+
+class _GroupLineage:
+    """The lineage records of fused groups, traced from their member rows.
+
+    One record per output column, as resolution left the cell: a copied cell
+    (a one-tuple group under a function that keeps single values) has its
+    row's source, none for a null; a resolved cell is traced with
+    :func:`~repro.core.lineage.trace_cell_lineage` over the group's values
+    and sources.  Cells are read from the input relation's columns when the
+    records are built, which relies on relations being logically immutable.
+    """
+
+    def __init__(
+        self,
+        relation: Relation,
+        output_specs: List[ResolutionSpec],
+        functions: List[ResolutionFunction],
+        input_positions: List[int],
+    ):
+        store = relation.store
+        self._sources = _source_values(relation)
+        self._columns = [
+            (spec.output_name, store.column(position), function.keeps_single_value)
+            for spec, function, position in zip(output_specs, functions, input_positions)
+        ]
+
+    def records(self, object_id: Any, row: tuple, members: Sequence[int]) -> List[CellLineage]:
+        """The group's records, in output column order."""
+        first = members[0]
+        lone = len(members) == 1
+        if lone:
+            source = None if self._sources is None else self._sources[first]
+            lone_sources = _NO_SOURCES if source is None else frozenset((str(source),))
+        sources = None
+        records: List[CellLineage] = []
+        resolved_cells = row[len(row) - len(self._columns):]  # after the key cells
+        for (name, values, keeps_single_value), resolved in zip(self._columns, resolved_cells):
+            if lone and keeps_single_value:
+                null = is_null(values[first])
+                records.append(
+                    CellLineage(name, object_id, _NO_SOURCES if null else lone_sources, False)
+                )
+                continue
+            if sources is None:
+                sources = _group_sources(self._sources, members)
+            records.append(
+                trace_cell_lineage(
+                    name, object_id, resolved, [values[index] for index in members], sources
+                )
+            )
+        return records
 
 
 def fuse(

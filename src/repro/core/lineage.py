@@ -13,7 +13,9 @@ lineage.  The CLI and examples render this as ANSI colours.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.engine.types import is_null, value_key, values_equal
 
@@ -41,9 +43,9 @@ def _cell_identity(cell: Any) -> tuple:
 
 
 def _object_identity(object_id: Any) -> tuple:
-    """The identity fusion groups *object_id* under: ``value_key`` per key
-    cell, every null as one key.  A tuple object id is a multi-column key,
-    identified cell by cell."""
+    """The identity fusion groups *object_id* under when the key width is
+    unknown: ``value_key`` per key cell, every null as one key, and a tuple
+    object id read as a multi-column key, cell by cell."""
     if isinstance(object_id, tuple):
         return tuple(map(_cell_identity, object_id))
     return _cell_identity(object_id)
@@ -55,30 +57,58 @@ class LineageMap:
     A cell is addressed by its object's grouping identity (``value_key``,
     nulls as one key), so ``True``, ``1`` and ``Decimal("1")`` — three
     objects to fusion — keep three records, while ``1`` and ``1.0`` name the
-    same object.  Records are appended as they come; the lookup index is
-    built on first read (a fusion whose lineage nobody reads never builds
-    it).  A later record for the same cell replaces the earlier one, and
-    iteration follows the cells' first insertion.
+    same object.  With *key_width* 1 (a map built by fusion on one key
+    column) an object id is one cell even when it is a tuple, exactly as
+    grouping keys it; otherwise a tuple object id is a multi-column key,
+    identified cell by cell.
+
+    Records are appended as they come, or (:meth:`deferred`) produced by a
+    callable on first read; the lookup index is built on first read, so a
+    fusion whose lineage nobody reads builds neither records nor index.  A
+    later record for the same cell replaces the earlier one, and iteration
+    follows the cells' first insertion.
     """
 
-    def __init__(self, records: Iterable[CellLineage] = ()) -> None:
+    def __init__(
+        self, records: Iterable[CellLineage] = (), key_width: Optional[int] = None
+    ) -> None:
+        self._identity = _cell_identity if key_width == 1 else _object_identity
+        self._build: Optional[Callable[[], Iterable[CellLineage]]] = None
         self._pending: List[CellLineage] = list(records)
         self._cells: Dict[Tuple[Any, str], CellLineage] = {}
+
+    @classmethod
+    def deferred(
+        cls, build: Callable[[], Iterable[CellLineage]], key_width: Optional[int] = None
+    ) -> "LineageMap":
+        """A map whose first records are produced by *build*, on first read."""
+        lineage = cls(key_width=key_width)
+        lineage._build = build
+        return lineage
 
     def record(self, lineage: CellLineage) -> None:
         """Store lineage for one cell."""
         self._pending.append(lineage)
 
     def _index(self) -> Dict[Tuple[Any, str], CellLineage]:
-        if self._pending:
-            for record in self._pending:
-                self._cells[(_object_identity(record.object_id), record.column.lower())] = record
-            self._pending = []
-        return self._cells
+        build, pending = self._build, self._pending
+        if build is None and not pending:
+            return self._cells
+        # built locally and published in one assignment: a concurrent first
+        # read builds its own copy or sees the finished map, never a partial one
+        cells = dict(self._cells)
+        identity = self._identity
+        for records in (() if build is None else build(), pending):
+            for record in records:
+                cells[(identity(record.object_id), record.column.lower())] = record
+        self._cells = cells
+        self._build = None
+        self._pending = []
+        return cells
 
     def lookup(self, object_id: Any, column: str) -> Optional[CellLineage]:
         """Lineage of the cell for *object_id* / *column*, if recorded."""
-        return self._index().get((_object_identity(object_id), column.lower()))
+        return self._index().get((self._identity(object_id), column.lower()))
 
     def sources_used(self) -> List[str]:
         """Every source that contributed at least one cell, sorted."""

@@ -16,7 +16,7 @@ from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
 from repro.engine.types import infer_column_type, value_key
 
-__all__ = ["AggregateSpec", "GroupBy", "Aggregate", "group_keys", "group_rows"]
+__all__ = ["AggregateSpec", "GroupBy", "Aggregate", "group_indices", "group_keys", "group_rows"]
 
 
 @dataclass
@@ -75,8 +75,8 @@ def group_keys(relation: Relation, by: Sequence[str]) -> Sequence[Hashable]:
     """One key per row: two rows get equal keys exactly when every cell of
     the columns *by* has the same :func:`~repro.engine.types.value_key`, all
     nulls (``None``, NaN) counting as one value.  The grouping rule of
-    :func:`group_rows`, for callers that need only some of the groups; the
-    result may be a column's cached codes, so treat it as read-only."""
+    :func:`group_indices`, for callers that need only some of the groups;
+    the result may be a column's cached codes, so treat it as read-only."""
     if len(by) == 1:
         return _column_keys(relation, by[0])
     if by:
@@ -84,27 +84,39 @@ def group_keys(relation: Relation, by: Sequence[str]) -> Sequence[Hashable]:
     return [()] * len(relation)
 
 
+def group_indices(relation: Relation, by: Sequence[str]) -> List[List[int]]:
+    """The row indices of each group of *relation* by the columns *by*.
+
+    Groups come in first-seen order, indices ascending within a group; rows
+    share a group when their :func:`group_keys` are equal (so ``10`` and
+    ``10.0`` do, ``1`` and ``True`` do not).  The keys come from the
+    columns' cached dictionaries, so a second caller on the same relation
+    (conflict detection, then fusion) reuses the codes.  The fusion operator
+    groups this way and reads each group's cells from the columns.
+    """
+    groups: Dict[Hashable, List[int]] = {}
+    for index, key in enumerate(group_keys(relation, by)):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [index]
+        else:
+            members.append(index)
+    return list(groups.values())
+
+
 def group_rows(relation: Relation, by: Sequence[str]) -> List[Tuple[tuple, List[tuple]]]:
-    """Group the rows of *relation* by the columns in *by*.
+    """The groups of :func:`group_indices` as row tuples.
 
     Returns a list of ``(key_values, rows)`` pairs in first-seen order, where
     ``key_values`` are the raw cell values of the grouping columns for the
-    first row of the group.  Rows share a group when their :func:`group_keys`
-    are equal (so ``10`` and ``10.0`` do, ``1`` and ``True`` do not).  The
-    keys come from the columns' cached dictionaries, so a second caller on
-    the same relation (conflict detection, then fusion) reuses the codes.
-    Exposed as a function because the fusion operator in
-    :mod:`repro.core.fusion` groups by ``objectID`` the same way.
+    first row of the group.
     """
     positions = relation.schema.positions(by)
-    groups: Dict[Hashable, List[tuple]] = {}
+    rows = relation.rows
     grouped: List[Tuple[tuple, List[tuple]]] = []
-    for key, values in zip(group_keys(relation, by), relation.rows):
-        rows = groups.get(key)
-        if rows is None:
-            rows = groups[key] = []
-            grouped.append((tuple([values[p] for p in positions]), rows))
-        rows.append(values)
+    for members in group_indices(relation, by):
+        first = rows[members[0]]
+        grouped.append((tuple([first[p] for p in positions]), [rows[i] for i in members]))
     return grouped
 
 

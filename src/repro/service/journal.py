@@ -20,8 +20,10 @@ process without the client re-uploading anything — in arrival order:
   session id wins on recovery.
 
 Appends are best-effort (an unwritable directory never fails the request,
-mirroring :class:`~repro.prepare.store.ArtifactStore`), and reads tolerate a
-truncated final line — the shape a kill mid-append leaves behind.
+mirroring :class:`~repro.prepare.store.ArtifactStore`).  Recovery tolerates
+a truncated final line — the shape a kill mid-append leaves behind — but
+stops at a corrupt record that has records after it, and cuts the journal
+back to what it replayed (:meth:`TenantJournal.recover`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.relation import Relation
 from repro.engine.io.csv_source import relation_from_csv_text
@@ -110,25 +112,71 @@ class TenantJournal:
             # must never fail the request that produced the record
             pass
 
-    def read(self) -> List[Dict[str, Any]]:
-        """All decodable records, in order.
+    def recover(self) -> Tuple[List[Dict[str, Any]], Optional[int]]:
+        """The records to replay, in order, and the line replay stopped at.
 
-        A truncated or garbled line (the tail a kill mid-append leaves)
-        is skipped rather than failing the whole recovery.
+        A line that does not decode to a record (a JSON object) is tolerated
+        only at the end of the journal: the torn tail a kill mid-append
+        leaves.  A corrupt line with a record after it ends the replay
+        there, since replaying past it could rebuild a state that never
+        existed (a lost ``unregister`` leaves its source registered); its
+        1-based number is returned second, else ``None``.
+
+        The journal is then cut back to the replayed records, and the lines
+        cut off are appended to ``<journal>.rejected``: records appended
+        after this recovery must follow the state it rebuilt, not run into a
+        torn line or sit behind a corrupt one that stops the next replay.
         """
-        records: List[Dict[str, Any]] = []
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError:
-            return records
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+            return [], None
+        records: List[Dict[str, Any]] = []
+        replayed = 0  # bytes of the journal holding the replayed records
+        offset = 0
+        corrupt: Optional[int] = None
+        stopped: Optional[int] = None
+        for number, line in enumerate(data.splitlines(keepends=True), start=1):
+            offset += len(line)
+            if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+            record = _decode(line)
+            if record is None:
+                if corrupt is None:
+                    corrupt = number
                 continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+            if corrupt is not None:
+                stopped = corrupt
+                break
+            records.append(record)
+            replayed = offset
+        self._cut(data, replayed)
+        return records, stopped
+
+    def _cut(self, data: bytes, length: int) -> None:
+        """Keep the journal's first *length* bytes, newline-terminated, and
+        append the rest to the rejected file.  Best-effort, like appends."""
+        rest = data[length:]
+        newline = length > 0 and data[length - 1:length] != b"\n"
+        if not rest and not newline:
+            return
+        try:
+            if rest:
+                with self.path.with_name(self.path.name + ".rejected").open("ab") as handle:
+                    handle.write(rest)
+            with self.path.open("r+b") as handle:
+                handle.truncate(length)
+                if newline:
+                    handle.seek(length)
+                    handle.write(b"\n")
+        except OSError:
+            pass
+
+
+def _decode(line: bytes) -> Optional[Dict[str, Any]]:
+    """One journal line as a record, or ``None`` when it is not one."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        return None
+    return record if isinstance(record, dict) else None

@@ -413,7 +413,13 @@ class ServiceState:
             if not journal_path.is_file():
                 continue
             try:
-                self._recover_tenant(TenantJournal(journal_path).read())
+                records, stopped = TenantJournal(journal_path).recover()
+                if stopped is not None:
+                    self.recovery["errors"].append(
+                        f"tenant journal {journal_path.parent.name}: line {stopped} is not "
+                        f"a journal record; replay stopped before it"
+                    )
+                self._recover_tenant(records)
             except Exception as exc:
                 self.recovery["errors"].append(
                     f"tenant journal {journal_path.parent.name}: {exc}"

@@ -1,5 +1,7 @@
 """Tests for the fusion operator, conflicts, and lineage."""
 
+import sys
+import threading
 from decimal import Decimal
 
 import pytest
@@ -8,6 +10,8 @@ from repro.core.conflicts import Conflict, ConflictKind, classify_values, find_c
 from repro.core.fusion import FusionOperator, FusionSpec, ResolutionSpec, fuse
 from repro.core.lineage import CellLineage, LineageMap, trace_cell_lineage
 from repro.core.resolution import Choose, Coalesce, ResolutionContext
+from repro.datagen.corruptor import CorruptionConfig
+from repro.datagen.scenarios import students_scenario
 from repro.engine.io.csv_source import CsvSource
 from repro.engine.operators.groupby import group_rows
 from repro.engine.relation import Relation
@@ -172,6 +176,52 @@ class TestLineage:
         assert result.lineage.lookup((1.0, "p"), "a").sources == frozenset({"s1"})
         assert result.lineage.lookup((True, "p"), "a").sources == frozenset({"s3"})
 
+    def test_concurrent_first_reads_see_the_whole_map(self):
+        """The first read builds the records and index locally and publishes
+        them in one assignment: no reader sees a partial map."""
+        relation = Relation(
+            ["objectID", "a", "b", "sourceID"],
+            [(i // 2, f"a{i % 7}", i % 5, f"s{i % 3}") for i in range(4000)],
+            name="r",
+        )
+        expected = len(fuse(relation, ["objectID"]).lineage)
+        readers = 4  # more threads than cores
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                lineage = fuse(relation, ["objectID"]).lineage
+                barrier = threading.Barrier(readers)
+                seen = []
+
+                def read():
+                    barrier.wait()
+                    seen.append((len(lineage), lineage.lookup(1999, "b") is not None))
+
+                threads = [threading.Thread(target=read) for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [(expected, True)] * readers
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    def test_tuple_object_ids_of_one_key_column_keep_their_own_lineage(self):
+        """One key column whose cells are tuples: grouping keys each cell by
+        value_key, so (1,) and (1.0,) are two objects, and so is lineage."""
+        relation = Relation(
+            ["k", "v", "sourceID"], [((1,), "x", "s1"), ((1.0,), "y", "s2")], name="r"
+        )
+        result = fuse(relation, ["k"])
+        assert len(result.relation) == 2
+        assert len(result.lineage) == 2
+        assert result.lineage.lookup((1,), "v").sources == frozenset({"s1"})
+        assert result.lineage.lookup((1.0,), "v").sources == frozenset({"s2"})
+        # a map built by hand reads a tuple as a multi-column key, cell by cell
+        assert len(LineageMap(list(result.lineage))) == 1
+
 
 class TestCellLineageRecord:
     def test_is_a_named_tuple_of_its_fields(self):
@@ -333,7 +383,20 @@ class TestLazyGroupMaterialisation:
         assert len(result.relation) == 3
         assert len(factories) == 2  # rows and sources of object 0's group
 
-    def test_conflicts_then_fusion_encode_the_key_once(self, clustered, monkeypatch):
+    def test_lineage_still_records_sources(self, clustered):
+        result = fuse(clustered, ["objectID"])
+        lineage = result.lineage.lookup(0, "city")
+        assert lineage is not None
+        assert lineage.sources == frozenset({"ee"})
+
+
+class TestWorkDoneOnce:
+    """Column dictionaries are built once per column, and lineage records
+    only when someone reads them."""
+
+    def test_conflicts_then_fusion_encode_each_column_at_most_once(
+        self, clustered, monkeypatch
+    ):
         from repro.engine import columnar
 
         encoded = []
@@ -346,13 +409,69 @@ class TestLazyGroupMaterialisation:
         monkeypatch.setattr(columnar, "encode", counting_encode)
         find_conflicts(clustered)
         fuse(clustered, ["objectID"])
-        assert encoded == [[0, 0, 1, 2]]
+        # conflict detection encodes the key and every column it classifies;
+        # fusion reuses the key's codes and reads the other cells directly
+        assert sorted(map(repr, encoded)) == sorted(
+            repr(clustered.column(name)) for name in ("objectID", "name", "age", "city")
+        )
 
-    def test_lineage_still_records_sources(self, clustered):
-        result = fuse(clustered, ["objectID"])
-        lineage = result.lineage.lookup(0, "city")
-        assert lineage is not None
-        assert lineage.sources == frozenset({"ee"})
+    @staticmethod
+    def fuse_generated():
+        hummer = HumMer()
+        dataset = students_scenario(entity_count=30, corruption=CorruptionConfig.low(), seed=5)
+        for alias, relation in dataset.sources.items():
+            hummer.register(alias, relation)
+        return hummer.fuse(list(dataset.sources))
+
+    def test_pipeline_conflicts_and_fusion_encode_only_the_object_ids(self, monkeypatch):
+        """Attribute selection has encoded every data column by then."""
+        from repro.core import pipeline
+        from repro.engine import columnar
+
+        encoded = []
+        started = []
+        original_encode = columnar.encode
+        original_find_conflicts = pipeline.find_conflicts
+
+        def counting_encode(values, mask):
+            encoded.append(values)
+            return original_encode(values, mask)
+
+        def marking_find_conflicts(relation, *args, **kwargs):
+            started.append(len(encoded))
+            return original_find_conflicts(relation, *args, **kwargs)
+
+        monkeypatch.setattr(columnar, "encode", counting_encode)
+        monkeypatch.setattr(pipeline, "find_conflicts", marking_find_conflicts)
+        result = self.fuse_generated()
+        assert len(started) == 1
+        object_ids = result.detection.relation.column("objectID")
+        assert [values is object_ids for values in encoded[started[0]:]] == [True]
+
+    def test_a_fuse_nobody_reads_builds_no_lineage_records(self, monkeypatch):
+        import repro.core.fusion as fusion_module
+        import repro.core.lineage as lineage_module
+
+        built = []
+
+        class CountingLineage(CellLineage):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(1)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(lineage_module, "CellLineage", CountingLineage)
+        monkeypatch.setattr(fusion_module, "CellLineage", CountingLineage)
+        result = self.fuse_generated()
+        assert len(result.relation) > 0
+        assert built == []
+        # the first read builds every cell's record, once
+        cells = len(result.fusion.lineage)
+        assert cells == len(result.relation) * (len(result.relation.schema) - 1)
+        assert len(built) == cells
+        list(result.fusion.lineage)
+        assert len(built) == cells
 
 
 class TestStreamingFusion:

@@ -170,6 +170,76 @@ class TestDataDirsWrittenBeforeThePlannerDeletion:
             assert not legacy.exists()
 
 
+class TestCorruptJournals:
+    """Recovery replays a journal's longest prefix of records, never a state
+    that did not exist, and cuts the journal back to what it replayed."""
+
+    @staticmethod
+    def journal_of(data_dir):
+        (path,) = (data_dir / "tenants").glob("*/journal.jsonl")
+        return path
+
+    def test_a_corrupt_middle_record_ends_the_replay(self, tmp_path, golden_csv):
+        data_dir = tmp_path / "state"
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as first:
+            client = ServiceClient(first.base_url)
+            client.create_tenant("audited")
+            upload_golden(client, golden_csv)
+        journal = self.journal_of(data_dir)
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["record"] for line in lines] == ["tenant", "source", "source"]
+        extra = json.loads(lines[1])
+        extra["body"]["alias"] = "extra"
+        with journal.open("a", encoding="utf-8") as handle:
+            handle.write('{"record":"unregister","al\x00ias":"shop"}\n')  # garbled on disk
+            handle.write(json.dumps(extra) + "\n")
+
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as second:
+            client = ServiceClient(second.base_url, tenant="audited")
+            recovery = client.stats()["recovery"]
+            assert recovery["tenants"] == 1
+            (error,) = recovery["errors"]
+            assert journal.parent.name in error and "line 4" in error
+            # the state before the lost unregister: shop registered, no extra
+            assert sorted(client.sources()) == ["crm", "shop"]
+            client.upload_csv("later", golden_csv["crm"])
+        rejected = journal.with_name("journal.jsonl.rejected").read_text(encoding="utf-8")
+        assert rejected.splitlines()[1] == json.dumps(extra)
+
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as third:
+            client = ServiceClient(third.base_url, tenant="audited")
+            assert client.stats()["recovery"]["errors"] == []
+            assert sorted(client.sources()) == ["crm", "later", "shop"]
+
+    def test_a_torn_tail_still_recovers_every_complete_record(self, tmp_path, golden_csv):
+        data_dir = tmp_path / "state"
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as first:
+            client = ServiceClient(first.base_url)
+            client.create_tenant("torn")
+            client.create_session(upload_golden(client, golden_csv))
+        journal = self.journal_of(data_dir)
+        complete = journal.read_text(encoding="utf-8")
+        with journal.open("a", encoding="utf-8") as handle:
+            handle.write(complete.splitlines()[1][:40])  # an upload killed mid-append
+
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as second:
+            client = ServiceClient(second.base_url, tenant="torn")
+            recovery = client.stats()["recovery"]
+            assert recovery["errors"] == []
+            assert recovery["sessions"] == 1
+            assert sorted(client.sources()) == ["crm", "shop"]
+            client.upload_csv("later", golden_csv["crm"])
+        # the torn line is gone; the upload after the restart follows the prefix
+        assert journal.read_text(encoding="utf-8").startswith(complete + '{"record":"source"')
+
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as third:
+            client = ServiceClient(third.base_url, tenant="torn")
+            recovery = client.stats()["recovery"]
+            assert recovery["errors"] == []
+            assert recovery["sessions"] == 1
+            assert sorted(client.sources()) == ["crm", "later", "shop"]
+
+
 class TestKillAndRestart:
     """The acceptance e2e: SIGKILL mid-wizard, restart, resume server-side."""
 
