@@ -271,7 +271,8 @@ class ColumnarPairScorer:
 
     * one trigram set per code (the upper-bound filter); a row's set is the
       union of its cells' sets, kept per row;
-    * per-attribute ``(similarity, weight)`` per ``(code, code)`` cell pair;
+    * per-attribute ``(similarity, weight)`` per unordered ``(code, code)``
+      cell pair (every leaf is symmetric bit for bit);
     * per-attribute prepared cells (:class:`~repro.similarity.numeric.PreparedValue`:
       inferred type, normalised text, tokens, parsed date) and soft-IDF
       weights, one per code, filled for the cells candidate pairs touch;
@@ -387,7 +388,10 @@ class ColumnarPairScorer:
         self, slot: int, pairs: Sequence[Tuple[int, int]]
     ) -> List[Optional[Tuple[float, float]]]:
         """One attribute's ``(similarity, weight)`` per pair (``None`` = missing),
-        memoised per ``(code, code)`` cell pair."""
+        memoised per unordered cell pair: every leaf :meth:`_score_cells`
+        reaches is symmetric bit for bit (integer edit distance, Monge-Elkan's
+        sum of both directed means, Jaro-Winkler, ``abs`` of numeric and date
+        differences, the ``max`` of two soft IDFs)."""
         codes = self._attributes[slot][2]
         pair_cells = self._pair_cells[slot]
         results: List[Optional[Tuple[float, float]]] = []
@@ -397,9 +401,10 @@ class ColumnarPairScorer:
             if left < 0 or right < 0:
                 results.append(None)
                 continue
-            cell = pair_cells.get((left, right))
+            key = (left, right) if left <= right else (right, left)
+            cell = pair_cells.get(key)
             if cell is None:
-                cell = pair_cells[left, right] = self._score_cells(slot, left, right)
+                cell = pair_cells[key] = self._score_cells(slot, left, right)
             results.append(cell)
         return results
 

@@ -27,15 +27,18 @@ Design points:
   one code per row are built on first use and cached the same way, so
   per-value work (profiling, fitting, tokenising, preparing cells) runs once
   per distinct cell instead of once per row (see ``docs/engine.md``).
+  :func:`stack` concatenates columns and merges their dictionaries instead
+  of encoding the result again.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine.types import value_key
 from repro.exceptions import SchemaError
 
-__all__ = ["ColumnData", "ColumnStore", "Dictionary", "encode"]
+__all__ = ["ColumnData", "ColumnStore", "Dictionary", "encode", "grouping_keys", "stack"]
 
 #: ``(values, counts, codes)`` of one column; see :attr:`ColumnData.dictionary`.
 Dictionary = Tuple[List[Any], List[int], List[int]]
@@ -58,7 +61,9 @@ def encode(values: Sequence[Any], mask: bytes) -> Dictionary:
         if null:
             codes.append(-1)
             continue
-        key = value if value.__class__ is str else (value.__class__, str(value))
+        # the key rule, also applied by stack(): equal str or int cells print equally
+        cls = value.__class__
+        key = value if cls is str or cls is int else (cls, str(value))
         code = index.get(key)
         if code is None:
             code = index[key] = len(distinct)
@@ -70,22 +75,102 @@ def encode(values: Sequence[Any], mask: bytes) -> Dictionary:
     return distinct, counts, codes
 
 
+def stack(parts: Sequence[Tuple[Optional["ColumnData"], int]]) -> "ColumnData":
+    """One column of the ``(column, length)`` *parts* one after another,
+    *length* nulls where *column* is ``None``.
+
+    The values lists and the null masks are joined, and the dictionary is
+    merged from the parts' (each built if missing, and left cached on its
+    part) once per distinct cell under :func:`encode`'s key rule: counts add
+    and each part's codes are remapped through one list that keeps ``-1``.
+    That equals ``encode`` of the joined values, because a part's new cells
+    enter in its own first-seen order, which is also their first-seen order
+    in the join.
+    """
+    values: List[Any] = []
+    masks: List[bytes] = []
+    index: dict = {}
+    distinct: List[Any] = []
+    counts: List[int] = []
+    codes: List[int] = []
+    for column, length in parts:
+        if column is None:
+            values += [None] * length
+            masks.append(b"\x01" * length)
+            codes += [-1] * length
+            continue
+        part_values, part_counts, part_codes = column.dictionary
+        values += column.values
+        masks.append(column.null_mask)
+        remap: List[int] = []
+        for value, count in zip(part_values, part_counts):
+            cls = value.__class__
+            key = value if cls is str or cls is int else (cls, str(value))
+            code = index.get(key)
+            if code is None:
+                code = index[key] = len(distinct)
+                distinct.append(value)
+                counts.append(count)
+            else:
+                counts[code] += count
+            remap.append(code)
+        remap.append(-1)  # index -1: the nulls keep their code
+        codes += map(remap.__getitem__, part_codes)
+    return ColumnData(values, b"".join(masks), (distinct, counts, codes))
+
+
+def grouping_keys(dictionary: Dictionary) -> List[int]:
+    """One grouping key per row of a column with *dictionary*.
+
+    Two rows get the same key exactly when their cells have the same
+    :func:`~repro.engine.types.value_key`, every null (``None``, NaN) being
+    one key, ``-1``.  ``value_key`` runs once per distinct cell.  A code is
+    its own key unless an earlier code has the same ``value_key`` (``10``
+    and ``10.0``); only then is a per-row list built, else the dictionary's
+    own codes are returned (shared: read-only).
+    """
+    distinct, _, codes = dictionary
+    first_code: Dict[tuple, int] = {}
+    canonical = [
+        first_code.setdefault(value_key(value), code) for code, value in enumerate(distinct)
+    ]
+    if len(first_code) == len(distinct):
+        return codes
+    canonical.append(-1)  # index -1: the nulls keep their code
+    return [canonical[code] for code in codes]
+
+
 class ColumnData:
     """One attribute's values plus its cached null mask and dictionary.
 
     The values list is the canonical storage — cells are held exactly as
     constructed (no boxing, no sentinel encoding), so reads through a column
-    are bit-identical to reads through a row tuple.  The null mask and the
-    dictionary are built on first access and cached; relations that share a
-    ``ColumnData`` (projections, renames) share both caches too.
+    are bit-identical to reads through a row tuple.  The null mask, the
+    dictionary and the grouping keys are built on first access and cached
+    (:func:`stack` and :meth:`constant` hand the first two in); relations
+    that share a ``ColumnData`` (projections, renames) share the caches too.
     """
 
-    __slots__ = ("values", "_mask", "_dictionary")
+    __slots__ = ("values", "_mask", "_dictionary", "_group_keys")
 
-    def __init__(self, values: List[Any], mask: Optional[bytes] = None):
+    def __init__(
+        self,
+        values: List[Any],
+        mask: Optional[bytes] = None,
+        dictionary: Optional[Dictionary] = None,
+    ):
         self.values = values
         self._mask = mask
-        self._dictionary: Optional[Dictionary] = None
+        self._dictionary = dictionary
+        self._group_keys: Optional[List[int]] = None
+
+    @classmethod
+    def constant(cls, value: Any, count: int) -> "ColumnData":
+        """*count* copies of *value*, with the mask and dictionary ``encode`` would build."""
+        if _is_null(value):
+            return cls([value] * count, b"\x01" * count, ([], [], [-1] * count))
+        dictionary = ([value], [count], [0] * count) if count else ([], [], [])
+        return cls([value] * count, b"\x00" * count, dictionary)
 
     @property
     def null_mask(self) -> bytes:
@@ -121,8 +206,19 @@ class ColumnData:
         """
         cached = self._dictionary
         if cached is None or len(cached[2]) != len(self.values):
+            self._group_keys = None
             cached = self._dictionary = encode(self.values, self.null_mask)
         return cached
+
+    @property
+    def group_keys(self) -> List[int]:
+        """:func:`grouping_keys` of :attr:`dictionary`, built once and dropped
+        with the dictionary it came from; shared and read-only."""
+        dictionary = self.dictionary
+        keys = self._group_keys
+        if keys is None:
+            keys = self._group_keys = grouping_keys(dictionary)
+        return keys
 
     def take(self, indices: Sequence[int]) -> "ColumnData":
         """A new column holding ``values[i]`` for each index, in order."""
@@ -157,6 +253,7 @@ class ColumnData:
     def __setstate__(self, state):
         self.values, self._mask = state
         self._dictionary = None
+        self._group_keys = None
 
 
 class ColumnStore:

@@ -14,7 +14,7 @@ from repro.engine.operators.aggregates import aggregate_function
 from repro.engine.operators.base import Operator
 from repro.engine.relation import Relation
 from repro.engine.schema import Column, Schema
-from repro.engine.types import infer_column_type, value_key
+from repro.engine.types import infer_column_type
 
 __all__ = ["AggregateSpec", "GroupBy", "Aggregate", "group_indices", "group_keys", "group_rows"]
 
@@ -51,24 +51,10 @@ class AggregateSpec:
 
 
 def _column_keys(relation: Relation, name: str) -> List[int]:
-    """One grouping key per row of column *name*, from its cached dictionary.
-
-    Two rows get the same key exactly when their cells have the same
-    :func:`~repro.engine.types.value_key`, every null (``None``, NaN) being
-    one key, ``-1``.  ``value_key`` runs once per distinct cell.  A code is
-    its own key unless an earlier code has the same ``value_key`` (``10``
-    and ``10.0``); only then is a per-row list built, else the dictionary's
-    own codes are returned (shared: read-only).
-    """
-    distinct, _, codes = relation.dictionary(name)
-    first_code: Dict[tuple, int] = {}
-    canonical = [
-        first_code.setdefault(value_key(value), code) for code, value in enumerate(distinct)
-    ]
-    if len(first_code) == len(distinct):
-        return codes
-    canonical.append(-1)  # index -1: the nulls keep their code
-    return [canonical[code] for code in codes]
+    """One grouping key per row of column *name*: the column's cached
+    :attr:`~repro.engine.columnar.ColumnData.group_keys`, so ``value_key``
+    runs once per distinct cell and column, however many callers group it."""
+    return relation.store.column_data(relation.schema.position(name)).group_keys
 
 
 def group_keys(relation: Relation, by: Sequence[str]) -> Sequence[Hashable]:
@@ -89,9 +75,9 @@ def group_indices(relation: Relation, by: Sequence[str]) -> List[List[int]]:
 
     Groups come in first-seen order, indices ascending within a group; rows
     share a group when their :func:`group_keys` are equal (so ``10`` and
-    ``10.0`` do, ``1`` and ``True`` do not).  The keys come from the
-    columns' cached dictionaries, so a second caller on the same relation
-    (conflict detection, then fusion) reuses the codes.  The fusion operator
+    ``10.0`` do, ``1`` and ``True`` do not).  The keys are cached next to
+    the columns' dictionaries, so a second caller on the same relation
+    (conflict detection, then fusion) reuses them.  The fusion operator
     groups this way and reads each group's cells from the columns.
     """
     groups: Dict[Hashable, List[int]] = {}

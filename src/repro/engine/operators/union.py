@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.engine.columnar import ColumnStore, stack
 from repro.engine.operators.base import Operator
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -69,18 +70,27 @@ class OuterUnion(Operator):
 def outer_union(relations: List[Relation], name: str = "fused_input") -> Relation:
     """Full outer union of already-materialised relations.
 
-    Exposed as a plain function because the data-transformation step of the
-    pipeline calls it directly, outside any query plan.
+    Built one column at a time with :func:`~repro.engine.columnar.stack`:
+    each column of the merged schema joins the inputs' values and null
+    masks, a run of nulls where an input lacks it, and merges the inputs'
+    dictionaries, so the dictionary's readers find it built.  Exposed as a
+    plain function because the data-transformation step of the pipeline
+    calls it directly, outside any query plan.
     """
     if not relations:
         raise SchemaError("outer union of zero relations is undefined")
     merged_schema = Schema.union_all([relation.schema for relation in relations])
-    rows: List[tuple] = []
-    for relation in relations:
-        source_positions = {
-            column.name.lower(): index for index, column in enumerate(relation.schema)
-        }
-        layout = [source_positions.get(column.name.lower()) for column in merged_schema]
-        for values in relation.rows:
-            rows.append(tuple(None if p is None else values[p] for p in layout))
-    return Relation(merged_schema, rows, name=name)
+    columns = []
+    for column in merged_schema:
+        parts = []
+        for relation in relations:
+            schema = relation.schema
+            data = (
+                relation.store.column_data(schema.position(column.name))
+                if schema.has_column(column.name)
+                else None
+            )
+            parts.append((data, len(relation)))
+        columns.append(stack(parts))
+    row_count = sum(len(relation) for relation in relations)
+    return Relation._from_store(merged_schema, ColumnStore(columns, row_count), name)

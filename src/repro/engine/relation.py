@@ -379,24 +379,25 @@ class Relation:
         """Return a relation with one extra column.
 
         *values* may be a sequence (one value per row), a callable applied to
-        each :class:`Row`, or a single constant.  Existing columns are shared
-        with this relation, not copied.
+        each :class:`Row`, or a single constant (whose column comes with its
+        null mask and dictionary).  Existing columns are shared with this
+        relation, not copied.
         """
         new_column = column if isinstance(column, Column) else Column(column)
         count = self._store.row_count
         if callable(values):
-            computed = [values(row) for row in self]
+            data = ColumnData([values(row) for row in self])
         elif isinstance(values, (list, tuple)):
             if len(values) != count:
                 raise SchemaError(
                     f"expected {count} values for new column, got {len(values)}"
                 )
-            computed = list(values)
+            data = ColumnData(list(values))
         else:
-            computed = [values] * count
+            data = ColumnData.constant(values, count)
         schema = self._schema.add(new_column, position)
         insert_at = len(self._schema) if position is None else position
-        store = self._store.insert_column(insert_at, ColumnData(computed))
+        store = self._store.insert_column(insert_at, data)
         return Relation._from_store(schema, store, self._name)
 
     def without_columns(self, names: Sequence[str]) -> "Relation":

@@ -11,6 +11,7 @@ term frequency, smoothed inverse document frequency, L2-normalised vectors.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -129,11 +130,16 @@ class TfIdfVectorizer:
         """
         if not counts:
             return {}
+        # read the fitted table directly; idf() only for a term it lacks
+        # (a table value of 0.0 makes idf() return that same 0.0)
+        fitted = self._idf.get
+        log = math.log
         vector = {
-            term: (1.0 + math.log(frequency)) * self.idf(term)
+            term: (1.0 + log(frequency)) * (fitted(term) or self.idf(term))
             for term, frequency in counts.items()
         }
-        norm = math.sqrt(sum(weight * weight for weight in vector.values()))
+        weights = vector.values()
+        norm = math.sqrt(sum(map(operator.mul, weights, weights)))
         if norm == 0.0:
             return {}
         return {term: weight / norm for term, weight in vector.items()}

@@ -448,6 +448,54 @@ class TestWorkDoneOnce:
         object_ids = result.detection.relation.column("objectID")
         assert [values is object_ids for values in encoded[started[0]:]] == [True]
 
+    def test_a_pipeline_fuse_encodes_no_column_of_the_fused_input(self, monkeypatch):
+        """The outer union merges the sources' dictionaries, so a fuse encodes
+        source columns during matching, then only the object ids."""
+        from repro.core import pipeline
+        from repro.engine import columnar
+
+        encoded = []
+        transformed_at = []
+        original_encode = columnar.encode
+        original_transform = pipeline.transform_sources
+
+        def counting_encode(values, mask):
+            encoded.append(values)
+            return original_encode(values, mask)
+
+        def marking_transform(*args, **kwargs):
+            transformed_at.append(len(encoded))
+            return original_transform(*args, **kwargs)
+
+        monkeypatch.setattr(columnar, "encode", counting_encode)
+        monkeypatch.setattr(pipeline, "transform_sources", marking_transform)
+        result = self.fuse_generated()
+        fused_input = [data.values for data in result.transformed.store.columns]
+        sources = [data.values for source in result.sources for data in source.store.columns]
+        assert not [values for values in encoded if any(values is c for c in fused_input)]
+        assert len(transformed_at) == 1
+        matching, later = encoded[: transformed_at[0]], encoded[transformed_at[0]:]
+        assert matching and all(any(values is c for c in sources) for values in matching)
+        object_ids = result.detection.relation.column("objectID")
+        assert [values is object_ids for values in later] == [True]
+
+    def test_a_pipeline_fuse_computes_the_object_id_keys_once(self, monkeypatch):
+        """Conflict detection and fusion both group by ``objectID``; the
+        second reads the keys cached next to the column's dictionary."""
+        from repro.engine import columnar
+
+        computed = []
+        original = columnar.grouping_keys
+
+        def counting(dictionary):
+            computed.append(dictionary)
+            return original(dictionary)
+
+        monkeypatch.setattr(columnar, "grouping_keys", counting)
+        result = self.fuse_generated()
+        object_ids = result.detection.relation.dictionary("objectID")
+        assert [dictionary is object_ids for dictionary in computed] == [True]
+
     def test_a_fuse_nobody_reads_builds_no_lineage_records(self, monkeypatch):
         import repro.core.fusion as fusion_module
         import repro.core.lineage as lineage_module

@@ -139,6 +139,33 @@ class TestColumnarBatchParity:
             measure.compare_rows(rows[i], rows[j]).hex() for i, j in both_ways
         ]
 
+    def test_one_cell_scoring_per_unordered_cell_pair(self, small_students_dataset, monkeypatch):
+        # every leaf of a cell scoring is symmetric bit for bit, so a cell
+        # pair met again, in either orientation, reads the memo entry
+        relation, measure, pairs = self.setup_scoring(small_students_dataset)
+        scorer = measure.columnar_scorer(relation)
+        original = scorer._score_cells
+        calls = []
+
+        def counting(slot, left, right):
+            calls.append((slot, min(left, right), max(left, right)))
+            return original(slot, left, right)
+
+        monkeypatch.setattr(scorer, "_score_cells", counting)
+        both_ways = pairs + [(j, i) for i, j in pairs]
+        scores = scorer.similarities(both_ways)
+        expected = set()
+        for slot, (_, _, codes, _) in enumerate(scorer._attributes):
+            for i, j in pairs:
+                if codes[i] >= 0 and codes[j] >= 0:
+                    expected.add((slot, min(codes[i], codes[j]), max(codes[i], codes[j])))
+        assert len(calls) == len(expected) == len(set(calls))
+        assert set(calls) == expected
+        rows = relation.rows
+        assert [score.hex() for score in scores] == [
+            measure.compare_rows(rows[i], rows[j]).hex() for i, j in both_ways
+        ]
+
 
 class TestSerialParity:
     def test_detector_defaults_to_serial(self, small_students_dataset, monkeypatch):

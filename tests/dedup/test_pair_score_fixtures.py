@@ -175,6 +175,27 @@ def test_all_pairs_scores_match_the_frozen_fixture(dataset):
     )
 
 
+@pytest.mark.parametrize("dataset", sorted(DATASETS) + ["values"])
+def test_cell_scores_are_symmetric_bit_for_bit(dataset):
+    """The batch scorer memoises one entry per unordered cell pair, which is
+    exact only if every cell pair of an attribute scores the same bits, and
+    gets the same weight, in both orders."""
+    if dataset == "values":
+        relation = Relation(["value"], [(cell,) for cell in VALUE_CORPUS])
+        attributes = ["value"]
+    else:
+        sources, labels = DATASETS[dataset]()
+        relation, attributes = _combined(sources, labels), list(labels)
+    measure = DuplicateSimilarityMeasure(AttributeSelection(attributes)).fit(relation)
+    scorer = measure.columnar_scorer(relation)
+    for slot, (attribute, values, _, _) in enumerate(scorer._attributes):
+        for left in range(len(values)):
+            for right in range(left + 1, len(values)):
+                forward = [part.hex() for part in scorer._score_cells(slot, left, right)]
+                backward = [part.hex() for part in scorer._score_cells(slot, right, left)]
+                assert forward == backward, (attribute, values[left], values[right])
+
+
 def test_value_similarity_matches_the_frozen_fixture():
     _check_or_update(
         "values",

@@ -147,6 +147,27 @@ class TestDictionary:
         assert restored._dictionary is None
         assert restored.dictionary == column.dictionary
 
+    def test_integers_are_keyed_by_value(self):
+        values, counts, codes = ColumnData([2**53, 2**53 + 1, float(2**53), 2**53, True, 1]).dictionary
+        assert codes == [0, 1, 2, 0, 3, 4] and counts == [2, 1, 1, 1, 1]
+        assert [type(value) for value in values] == [int, int, float, bool, int]
+
+    def test_group_keys_cached_and_dropped_with_the_dictionary(self):
+        column = ColumnData([10, 10.0, None, "x", 10])
+        keys = column.group_keys
+        assert keys == [0, 0, -1, 2, 0]
+        assert column.group_keys is keys
+        column.values.append(10.0)  # grown in place: the dictionary is rebuilt
+        assert column.group_keys == [0, 0, -1, 2, 0, 0]
+        assert column.group_keys is not keys
+        restored = pickle.loads(pickle.dumps(column))
+        assert restored._group_keys is None
+        assert restored.group_keys == column.group_keys
+
+    def test_group_keys_are_the_codes_when_no_two_codes_share_a_value_key(self):
+        column = ColumnData([3, 1, None, 3])
+        assert column.group_keys is column.dictionary[2]
+
     @PROPERTY
     @given(relations())
     def test_distinct_values_read_the_dictionary(self, relation):

@@ -1,8 +1,11 @@
 """Tests for TF-IDF, SoftTFIDF and the numeric/value similarities."""
 
 import datetime
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.similarity import (
     SoftTfIdfSimilarity,
@@ -74,6 +77,40 @@ class TestTfIdfVectorizer:
     def test_unseen_terms_get_default_idf(self):
         vectorizer = TfIdfVectorizer().fit(CORPUS)
         assert vectorizer.idf("zeppelin") > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(CORPUS), min_size=1, max_size=5),
+        st.booleans(),
+        st.dictionaries(
+            st.sampled_from(sorted(set(" ".join(CORPUS).split())) + ["zeppelin", "queen"]),
+            st.integers(1, 4),
+            max_size=8,
+        ),
+    )
+    def test_weigh_is_bit_identical_to_the_per_term_idf_expression(
+        self, corpus, smooth, counts
+    ):
+        """``weigh`` reads the fitted IDF table directly; unsmoothed, a term
+        in every document weighs 0.0 and an all-zero vector is empty."""
+        vectorizer = TfIdfVectorizer(smooth=smooth).fit(corpus)
+
+        def reference(counts):
+            if not counts:
+                return {}
+            vector = {
+                term: (1.0 + math.log(frequency)) * vectorizer.idf(term)
+                for term, frequency in counts.items()
+            }
+            norm = math.sqrt(sum(weight * weight for weight in vector.values()))
+            if norm == 0.0:
+                return {}
+            return {term: weight / norm for term, weight in vector.items()}
+
+        def hexed(vector):
+            return [(term, weight.hex()) for term, weight in vector.items()]
+
+        assert hexed(vectorizer.weigh(counts)) == hexed(reference(counts))
 
     def test_facade_without_corpus(self):
         assert TfIdfSimilarity()("abbey road", "abbey road") == pytest.approx(1.0)
