@@ -546,8 +546,10 @@ def test_e4_matching_scale(benchmark, request):
     * the warm prepare rebuilds zero field-corpus artifacts, and the warm
       match is bit-identical to the cold one (correspondences, seeds and the
       averaged matrix, exact floats);
-    * the pruned seed scorer computes cosines for < 50% of the candidate
-      pairs its essential terms propose (measured, reported per size);
+    * the seeder computes exact cosines only around the k-th best
+      approximate one: at most ``2 × max_seeds`` per source pair
+      (``seed_cosines``; ``seed_candidates`` counts the term-sharing pairs
+      whose approximate cosine reached ``min_similarity − δ``), cold and warm;
     * the end-to-end fuse at the largest configured size completes
       interactively (< 60 s — the "past the dedup wall" headline number
       when run at the full 10k default).
@@ -615,9 +617,10 @@ def test_e4_matching_scale(benchmark, request):
         assert match_fingerprint(warm) == match_fingerprint(cold)
         warm_scoring = warm_matcher.seeder.last_scoring.as_dict()
         assert warm_scoring["seed_candidates"] == scoring["seed_candidates"]
-        # the pruning acceptance bar: most proposed candidates are proved
-        # out by their upper bound without computing the cosine
-        assert scoring["seed_scored_fraction"] < 0.5
+        # the band acceptance bar: exact cosines only for the pairs within
+        # δ of the k-th best approximate one, not for every candidate
+        for counted in (scoring, warm_scoring):
+            assert counted["seed_cosines"] <= 2 * cold_matcher.seeder.max_seeds
 
         rows.append(
             (

@@ -23,6 +23,7 @@ from repro.core.resolution.base import (
     default_registry,
 )
 from repro.dedup.detector import OBJECT_ID_COLUMN
+from repro.engine.columnar import ColumnStore
 from repro.engine.operators.groupby import group_indices
 from repro.engine.relation import Relation, Row
 from repro.engine.schema import Column, Schema
@@ -325,13 +326,19 @@ class FusionOperator:
             resolved_conflicts += conflicts
 
         key_width = len(self.spec.key_columns)
+        # one transpose into the column lists the fused relation adopts
+        columns = [list(column) for column in zip(*rows)] or [
+            [] for _ in range(key_width + len(output_specs))
+        ]
         key_schema_columns = [relation.schema.column(name) for name in self.spec.key_columns]
-        value_columns = []
-        for index, spec in enumerate(output_specs):
-            values = (row[key_width + index] for row in rows)
-            value_columns.append(Column(spec.output_name, infer_column_type(values)))
+        value_columns = [
+            Column(spec.output_name, infer_column_type(values))
+            for spec, values in zip(output_specs, columns[key_width:])
+        ]
         schema = Schema(key_schema_columns + value_columns)
-        fused = Relation(schema, rows, name=self.table_name or "fused")
+        fused = Relation._from_store(
+            schema, ColumnStore.from_lists(columns), self.table_name or "fused"
+        )
         group_lineage = _GroupLineage(relation, *plan)
 
         def lineage_records() -> Iterator[CellLineage]:

@@ -58,9 +58,14 @@ def token_params_key(strategy: TokenBlocking) -> Tuple:
     return (strategy.qgram, strategy.min_token_length)
 
 
+#: The :class:`SeedStatistics` layout; part of the seed artifact key, so a
+#: file persisted under an earlier layout is never looked up (and rebuilt).
+SEED_LAYOUT = "flat-documents"
+
+
 def seed_params_key(sample_limit: Optional[int]) -> Tuple:
-    """The seeding knobs a statistics artifact depends on."""
-    return (sample_limit,)
+    """The seeding knobs a statistics artifact depends on, plus its layout."""
+    return (SEED_LAYOUT, sample_limit)
 
 
 def field_params_key() -> Tuple:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.similarity.base import SimilarityMeasure
@@ -69,6 +70,11 @@ class TfIdfVectorizer:
     def document_count(self) -> int:
         """Number of documents the vectoriser was fitted on."""
         return self._document_count
+
+    @property
+    def idf_table(self) -> Mapping[str, float]:
+        """The fitted term → IDF table, read-only (what :meth:`weigh` reads)."""
+        return MappingProxyType(self._idf)
 
     def fit(self, documents: Iterable[str]) -> "TfIdfVectorizer":
         """Learn IDF weights from *documents*."""

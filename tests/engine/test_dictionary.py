@@ -230,14 +230,16 @@ class TestReadersMatchPerCellReferences:
         statistics = compute_seed_statistics(relation, limit)
         rows = relation.rows
         frequency = {}
-        for index, document in zip(statistics.indices, statistics.documents):
+        assert statistics.document_count == len(statistics.indices)
+        for position, index in enumerate(statistics.indices):
             expected = {}
             for token in tokenize(tuple_to_string(rows[index])):
                 expected[token] = expected.get(token, 0) + 1
-            assert list(document.items()) == list(expected.items())
+            assert list(statistics.document(position).items()) == list(expected.items())
             for term in expected:
                 frequency[term] = frequency.get(term, 0) + 1
         assert list(statistics.document_frequency.items()) == list(frequency.items())
+        assert statistics.vocabulary == list(frequency)
 
     @PROPERTY
     @given(relations(), st.sampled_from([None, 2]))

@@ -1,5 +1,7 @@
 """Prepared pipelines: warm reuse, invalidation, and output parity end to end."""
 
+import pickle
+
 import pytest
 
 from repro.config import DedupConfig, FusionConfig, PrepareConfig
@@ -174,6 +176,35 @@ class TestPersistence:
         warm = second.fuse(aliases)
         assert warm.summary()["artifacts_rebuilt"] == 0
         assert fusion_fingerprint(cold) == fusion_fingerprint(warm)
+
+    def test_seed_artifacts_of_the_previous_layout_are_rebuilt(self, dataset, tmp_path):
+        """A seed-statistics file pickled under the previous layout (one dict
+        per document, keyed without a layout version) still unpickles and
+        passes the digest check, so it must never be looked up: a fresh
+        instance over the directory rebuilds it and fuses as a cold run."""
+        from repro.matching.duplicate_seed import SeedStatistics
+        from repro.prepare import SEED_KIND
+        from repro.prepare.store import ArtifactStore
+
+        aliases = list(dataset.sources)
+        cold = build_hummer(dataset).fuse(aliases)
+        store = ArtifactStore(str(tmp_path))
+        for alias, relation in dataset.sources.items():
+            previous = SeedStatistics.__new__(SeedStatistics)
+            previous.__dict__.update(
+                row_count=len(relation), sample_limit=500, indices=[0],
+                documents=[{"anna": 1}], document_frequency={"anna": 1},
+            )
+            path = store._path(store._key(alias, SEED_KIND, (500,)))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps(
+                {"digest": relation.content_digest(), "artifact": previous}
+            ))
+
+        hummer = build_hummer(dataset, prepare="lazy", artifact_dir=str(tmp_path))
+        result = hummer.fuse(aliases)
+        assert result.prepared["rebuilt_by_kind"][SEED_KIND] == len(aliases)
+        assert fusion_fingerprint(result) == fusion_fingerprint(cold)
 
 
 class TestValidation:

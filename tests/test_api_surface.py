@@ -170,6 +170,9 @@ SIGNATURES = {
     "DumasMatcher.match": [
         "self", "left", "right", "prepared", "progress_callback", "scoring", "memo",
     ],
+    "DuplicateSeeder.__init__": [
+        "self", "max_seeds", "min_similarity", "max_tuples_per_relation",
+    ],
     "DuplicateSeeder.find_seeds": [
         "self", "left", "right", "prepared", "progress_callback", "scoring", "memo",
     ],
