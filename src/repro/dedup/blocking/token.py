@@ -76,11 +76,12 @@ class TokenBlocking(BlockingStrategy):
         similarity measures, so blocking sees values (accent stripping
         included) exactly as the measure will compare them.
         """
-        words = [
-            token
-            for token in tokenize(str(value))
-            if len(token) >= self.min_token_length
-        ]
+        return self.index_terms(tokenize(str(value)))
+
+    def index_terms(self, words: Sequence[str]) -> Set[str]:
+        """The index tokens of a cell whose word tokens are *words*: the
+        words of at least ``min_token_length`` characters, or their q-grams."""
+        words = [word for word in words if len(word) >= self.min_token_length]
         if self.qgram is None:
             return set(words)
         grams: Set[str] = set()
@@ -96,30 +97,48 @@ class TokenBlocking(BlockingStrategy):
         Columnar build over a dictionary of each blocking attribute
         (:func:`~repro.engine.columnar.encode`, the rule of
         :meth:`Relation.dictionary <repro.engine.relation.Relation.dictionary>`):
-        every distinct cell is tokenised once, and a row reads its cells'
-        token sets by code — no row tuple or :class:`Row` view is
-        materialised.  The dictionary is encoded afresh on every call, so a
-        relation mutated in place is indexed as it now is.  Iteration is
-        rows-outer; a row unions its cells' tokens, each cell's in sorted
-        order, into an insertion-ordered dict in attribute order.  So the
-        token order of the index, and with it the candidate emission order,
-        is a function of the relation alone, never of string hashing
-        (``PYTHONHASHSEED``).
+        every distinct cell is tokenised once and indexed by
+        :meth:`index_codes`.  The dictionary is encoded afresh on every
+        call, so a relation mutated in place is indexed as it now is (a
+        prepared source's postings read its cached dictionary and tokens
+        instead, :func:`~repro.prepare.artifacts.build_token_postings`).
         """
-        index: Dict[str, List[int]] = {}
         encoded = []
         for attribute, position in self.key_values(relation, attributes):
             values, _, codes = encode(relation.column_at(position), relation.null_mask(attribute))
-            cells = [dict.fromkeys(sorted(self.tokens(value))) for value in values]
-            encoded.append((cells, codes))
-        for row_index in range(len(relation)):
-            row_tokens: Dict[str, None] = {}
+            encoded.append(([tokenize(str(value)) for value in values], codes))
+        return self.index_codes(encoded)
+
+    def index_codes(
+        self, columns: Sequence[Tuple[Sequence[Sequence[str]], Sequence[int]]]
+    ) -> Dict[str, List[int]]:
+        """Token → ascending row indices of columns given as ``(word tokens
+        per dictionary code, codes)``.
+
+        A row reads its cells' index tokens (:meth:`index_terms`) by code —
+        no row tuple or :class:`Row` view is materialised.  Iteration is
+        rows-outer; a row posts its cells' tokens in column order, each
+        cell's in sorted order, and skips a token it already posted (a
+        posting list's last entry is then its own row).  So the token order
+        of the index, and with it the candidate emission order, is a
+        function of the relation alone, never of string hashing
+        (``PYTHONHASHSEED``).
+        """
+        index: Dict[str, List[int]] = {}
+        encoded = [
+            ([sorted(self.index_terms(words)) for words in tokens], codes)
+            for tokens, codes in columns
+        ]
+        for row_index in range(len(encoded[0][1]) if encoded else 0):
             for cells, codes in encoded:
                 code = codes[row_index]
                 if code >= 0:
-                    row_tokens.update(cells[code])
-            for token in row_tokens:
-                index.setdefault(token, []).append(row_index)
+                    for token in cells[code]:
+                        rows = index.get(token)
+                        if rows is None:
+                            index[token] = [row_index]
+                        elif rows[-1] != row_index:
+                            rows.append(row_index)
         return index
 
     def indexed_blocks(

@@ -28,17 +28,26 @@ Design points:
   per-value work (profiling, fitting, tokenising, preparing cells) runs once
   per distinct cell instead of once per row (see ``docs/engine.md``).
   :func:`stack` concatenates columns and merges their dictionaries instead
-  of encoding the result again.
+  of encoding the result again, and :func:`map_distinct` (the CSV loader's
+  column builder) maps each distinct raw cell once and hands the result its
+  mask and dictionary.  Each dictionary code's word tokens are cached next
+  to the dictionary (:attr:`ColumnData.tokens`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
+from repro.engine.text import tokenize
 from repro.engine.types import value_key
 from repro.exceptions import SchemaError
 
-__all__ = ["ColumnData", "ColumnStore", "Dictionary", "encode", "grouping_keys", "stack"]
+__all__ = [
+    "ColumnData", "ColumnStore", "Dictionary", "encode", "grouping_keys", "map_distinct", "stack",
+]
 
 #: ``(values, counts, codes)`` of one column; see :attr:`ColumnData.dictionary`.
 Dictionary = Tuple[List[Any], List[int], List[int]]
@@ -75,6 +84,53 @@ def encode(values: Sequence[Any], mask: bytes) -> Dictionary:
     return distinct, counts, codes
 
 
+def _merge(
+    cells: Iterable[Tuple[Any, int]], index: dict, distinct: List[Any], counts: List[int]
+) -> List[int]:
+    """The code of each non-null ``(cell, count)`` under :func:`encode`'s key
+    rule, entering new keys into *index*, *distinct* and *counts* in order
+    and adding each count to its code's."""
+    codes: List[int] = []
+    for value, count in cells:
+        cls = value.__class__
+        key = value if cls is str or cls is int else (cls, str(value))
+        code = index.get(key)
+        if code is None:
+            code = index[key] = len(distinct)
+            distinct.append(value)
+            counts.append(count)
+        else:
+            counts[code] += count
+        codes.append(code)
+    return codes
+
+
+def map_distinct(cells: Sequence[Hashable], function: Callable[[Any], Any]) -> "ColumnData":
+    """The column of ``function(cell)`` per cell, with its mask and dictionary.
+
+    *function* runs once per distinct (hashable) cell, in first-seen order,
+    so the first cell it raises for is the first in row order.  Distinct
+    cells whose results share a key under :func:`encode`'s rule (``"1"``,
+    ``"01"`` and ``"1.0"`` all coerced to ``1``) merge into one code: the
+    first one's result is the dictionary value and their counts add.  The
+    results enter in the first-seen order of their cells, which is their
+    first-seen order among the mapped values, so the dictionary equals
+    ``encode`` of the mapped column; null results get ``-1``.
+    """
+    counted = Counter(cells)  # first-seen order
+    mapped = {cell: function(cell) for cell in counted}
+    flags = {cell: _is_null(value) for cell, value in mapped.items()}
+    present = [cell for cell in counted if not flags[cell]]
+    distinct: List[Any] = []
+    counts: List[int] = []
+    cells_counted = zip(map(mapped.__getitem__, present), map(counted.__getitem__, present))
+    code_of = dict.fromkeys(counted, -1)
+    code_of.update(zip(present, _merge(cells_counted, {}, distinct, counts)))
+    values = list(map(mapped.__getitem__, cells))
+    mask = bytes(map(flags.__getitem__, cells))
+    return ColumnData(values, mask, (distinct, counts, list(map(code_of.__getitem__, cells))))
+
+
 def stack(parts: Sequence[Tuple[Optional["ColumnData"], int]]) -> "ColumnData":
     """One column of the ``(column, length)`` *parts* one after another,
     *length* nulls where *column* is ``None``.
@@ -102,18 +158,7 @@ def stack(parts: Sequence[Tuple[Optional["ColumnData"], int]]) -> "ColumnData":
         part_values, part_counts, part_codes = column.dictionary
         values += column.values
         masks.append(column.null_mask)
-        remap: List[int] = []
-        for value, count in zip(part_values, part_counts):
-            cls = value.__class__
-            key = value if cls is str or cls is int else (cls, str(value))
-            code = index.get(key)
-            if code is None:
-                code = index[key] = len(distinct)
-                distinct.append(value)
-                counts.append(count)
-            else:
-                counts[code] += count
-            remap.append(code)
+        remap = _merge(zip(part_values, part_counts), index, distinct, counts)
         remap.append(-1)  # index -1: the nulls keep their code
         codes += map(remap.__getitem__, part_codes)
     return ColumnData(values, b"".join(masks), (distinct, counts, codes))
@@ -146,12 +191,13 @@ class ColumnData:
     The values list is the canonical storage — cells are held exactly as
     constructed (no boxing, no sentinel encoding), so reads through a column
     are bit-identical to reads through a row tuple.  The null mask, the
-    dictionary and the grouping keys are built on first access and cached
-    (:func:`stack` and :meth:`constant` hand the first two in); relations
-    that share a ``ColumnData`` (projections, renames) share the caches too.
+    dictionary, the grouping keys and the per-code tokens are built on first
+    access and cached (:func:`stack`, :func:`map_distinct` and
+    :meth:`constant` hand the first two in); relations that share a
+    ``ColumnData`` (projections, renames) share the caches too.
     """
 
-    __slots__ = ("values", "_mask", "_dictionary", "_group_keys")
+    __slots__ = ("values", "_mask", "_dictionary", "_group_keys", "_tokens")
 
     def __init__(
         self,
@@ -163,6 +209,7 @@ class ColumnData:
         self._mask = mask
         self._dictionary = dictionary
         self._group_keys: Optional[List[int]] = None
+        self._tokens: Optional[List[Optional[List[str]]]] = None
 
     @classmethod
     def constant(cls, value: Any, count: int) -> "ColumnData":
@@ -206,7 +253,7 @@ class ColumnData:
         """
         cached = self._dictionary
         if cached is None or len(cached[2]) != len(self.values):
-            self._group_keys = None
+            self._group_keys = self._tokens = None
             cached = self._dictionary = encode(self.values, self.null_mask)
         return cached
 
@@ -219,6 +266,38 @@ class ColumnData:
         if keys is None:
             keys = self._group_keys = grouping_keys(dictionary)
         return keys
+
+    @property
+    def tokens(self) -> List[List[str]]:
+        """``tokenize(str(cell))`` per code of :attr:`dictionary`, every code
+        filled in; shared and read-only.  Each code is tokenised once, here
+        or by :meth:`cell_tokens`, and the lists are dropped with the
+        dictionary they came from.  The field corpus, the seeding statistics
+        and the token-postings artifact all read them, so a prepared
+        source's cells are tokenised once for the three."""
+        tokens = self._token_slots()
+        values = self._dictionary[0]
+        for code, cell in enumerate(tokens):
+            if cell is None:
+                tokens[code] = tokenize(str(values[code]))
+        return tokens
+
+    def cell_tokens(self, code: int) -> List[str]:
+        """:attr:`tokens` of one code, tokenising that cell alone on first
+        use, so a reader of sampled rows (the seeding statistics) costs its
+        sample, not the column."""
+        tokens = self._token_slots()
+        cell = tokens[code]
+        if cell is None:
+            cell = tokens[code] = tokenize(str(self._dictionary[0][code]))
+        return cell
+
+    def _token_slots(self) -> List[Optional[List[str]]]:
+        dictionary = self.dictionary
+        tokens = self._tokens
+        if tokens is None:
+            tokens = self._tokens = [None] * len(dictionary[0])
+        return tokens
 
     def take(self, indices: Sequence[int]) -> "ColumnData":
         """A new column holding ``values[i]`` for each index, in order."""
@@ -253,7 +332,7 @@ class ColumnData:
     def __setstate__(self, state):
         self.values, self._mask = state
         self._dictionary = None
-        self._group_keys = None
+        self._group_keys = self._tokens = None
 
 
 class ColumnStore:

@@ -5,11 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import os
-from typing import Optional, Sequence, Union
+from functools import partial
+from itertools import chain, islice
+from operator import is_not
+from typing import Iterable, Optional, Sequence, Union
 
+from repro.engine.columnar import ColumnStore, map_distinct
 from repro.engine.io.base import DataSource
 from repro.engine.relation import Relation
-from repro.engine.schema import Schema
+from repro.engine.schema import Column, Schema
+from repro.engine.types import TYPE_SAMPLE_LIMIT, DataType, coerce, infer_column_type
 from repro.exceptions import SourceError
 
 __all__ = ["CsvSource", "relation_from_csv_text", "relation_to_csv_text", "write_csv"]
@@ -50,8 +55,7 @@ class CsvSource(DataSource):
             raise SourceError(f"CSV file not found: {self.path}")
         try:
             with open(self.path, newline="", encoding=self.encoding) as handle:
-                reader = csv.reader(handle, delimiter=self.delimiter, quotechar=self.quotechar)
-                rows = list(reader)
+                rows = _parse(handle, self.delimiter, self.quotechar)
         except (OSError, csv.Error) as exc:
             raise SourceError(f"cannot read CSV file {self.path}: {exc}") from exc
         return _rows_to_relation(
@@ -69,6 +73,21 @@ def _column_name_list(column_names: Optional[Sequence[str]]) -> Optional[list]:
     return list(column_names) if column_names else None
 
 
+def _parse(lines: Iterable[str], delimiter: str, quotechar: str) -> list:
+    """The rows of CSV *lines*, one leading U+FEFF dropped from the first line.
+
+    A UTF-8 byte-order mark read as text would otherwise open the first
+    cell (``str.strip`` keeps U+FEFF), and would keep a quoted first cell's
+    quotes; dropped before parsing, the text reads as without it (a text of
+    the mark alone as an empty one: the emptied line is skipped, since
+    ``csv`` reads an empty line as a row).
+    """
+    lines = iter(lines)
+    first = [line[1:] if line.startswith("\ufeff") else line for line in islice(lines, 1)]
+    rows = csv.reader(chain(filter(None, first), lines), delimiter=delimiter, quotechar=quotechar)
+    return list(rows)
+
+
 def _rows_to_relation(
     rows: list,
     has_header: bool,
@@ -76,6 +95,19 @@ def _rows_to_relation(
     infer_types: bool,
     name: str,
 ) -> Relation:
+    """The relation of parsed CSV *rows*, built column by column.
+
+    Short rows are padded with ``None`` and long rows cut at the header's
+    width.  With *infer_types*, a column's type joins ``infer_type`` over
+    the distinct cells among its first ``TYPE_SAMPLE_LIMIT`` cells that are
+    not ``None`` (the join is commutative and idempotent, so that is
+    ``infer_column_type`` of the whole column), and each distinct cell is
+    coerced once (:func:`~repro.engine.columnar.map_distinct`): the first
+    column that cannot be coerced raises for its first failing cell in row
+    order.  Without, the cells stay the raw strings.  The columns come with
+    their null masks and dictionaries, and a header without rows keeps its
+    columns (typed ``ANY``, as no values infer).
+    """
     if not rows:
         return Relation(Schema(column_names or ["column_1"]), [], name=name)
     if has_header:
@@ -87,18 +119,27 @@ def _rows_to_relation(
         body = rows
     if column_names and has_header:
         header = list(column_names)
-    # Rows become dicts keyed by header name, so a repeated name would
-    # silently merge two columns; the schema rejects it (and non-strings).
-    Schema(header)
+    # a repeated name (or a non-string) is rejected before any cell is read
+    schema = Schema(header)
     width = len(header)
-    records = []
-    for row in body:
-        padded = list(row) + [None] * (width - len(row))
-        records.append(dict(zip(header, padded[:width])))
-    relation = Relation.from_dicts(records, name=name, infer_types=infer_types)
-    if infer_types:
-        relation = relation.coerced()
-    return relation
+    if any(len(row) != width for row in body):
+        body = [(row + [None] * (width - len(row)))[:width] for row in body]
+    columns, types = [], []
+    for cells in (zip(*body) if body else [()] * width):
+        if infer_types:
+            sample = islice(filter(partial(is_not, None), cells), TYPE_SAMPLE_LIMIT)
+            dtype = infer_column_type(dict.fromkeys(sample))
+            convert = partial(coerce, dtype=dtype)
+        else:
+            dtype, convert = DataType.ANY, _raw
+        columns.append(map_distinct(cells, convert))
+        types.append(dtype)
+    schema = Schema([Column(column.name, dtype) for column, dtype in zip(schema, types)])
+    return Relation._from_store(schema, ColumnStore(columns), name)
+
+
+def _raw(cell):
+    return cell
 
 
 def relation_from_csv_text(
@@ -116,8 +157,7 @@ def relation_from_csv_text(
     inline CSV uploads and never touches the filesystem.
     """
     try:
-        reader = csv.reader(io.StringIO(text), delimiter=delimiter, quotechar=quotechar)
-        rows = list(reader)
+        rows = _parse(io.StringIO(text), delimiter, quotechar)
     except csv.Error as exc:
         raise SourceError(f"cannot parse CSV text: {exc}") from exc
     return _rows_to_relation(

@@ -20,6 +20,7 @@ steps and the query operators freely composable.
 
 from __future__ import annotations
 
+import datetime as _dt
 from typing import (
     Any,
     Callable,
@@ -466,10 +467,6 @@ class Relation:
         """Independent copy (column lists duplicated; cells are shared refs)."""
         return Relation._from_store(self._schema, self._store.copied(), self._name)
 
-    def coerced(self) -> "Relation":
-        """Return a relation with every cell coerced to its declared column type."""
-        return Relation(self._schema, self._store.iter_rows(), name=self._name, coerce_types=True)
-
     def retyped(self) -> "Relation":
         """Return a relation whose column types are re-inferred from the data."""
         columns = []
@@ -525,7 +522,9 @@ class Relation:
         instance: relations are logically immutable, and every
         ``ArtifactStore`` lookup used to re-hash the full content from
         scratch.  Cells are folded as ``(type name, repr)``, matching the
-        cross-type separation of :meth:`content_key`.
+        cross-type separation of :meth:`content_key`; each column's bytes
+        are ``repr`` of the tuple of those pairs, built by
+        :func:`_column_text` from one text per dictionary code.
         """
         if self._digest is None:
             import hashlib
@@ -536,14 +535,7 @@ class Relation:
                 f"columnar:{self._store.row_count}x{self._store.width}".encode("utf-8")
             )
             for column in self._store.columns:
-                hasher.update(
-                    repr(
-                        tuple(
-                            (type(value).__name__, repr(value))
-                            for value in column.values
-                        )
-                    ).encode("utf-8")
-                )
+                hasher.update(_column_text(column).encode("utf-8"))
             self._digest = hasher.hexdigest()
         return self._digest
 
@@ -578,3 +570,39 @@ class Relation:
         if len(self) > limit:
             lines.append(f"... ({len(self) - limit} more rows)")
         return "\n".join(lines)
+
+
+#: Classes whose ``repr`` follows from their class and ``str``: the cells a
+#: dictionary code stands for (same class, same ``str``) share one ``repr``.
+#: Not ``datetime``: two aware datetimes with equal ``str`` can differ in
+#: ``tzinfo``, and naive ones in ``fold``, which only ``repr`` shows.
+_FOLDED_PER_CODE = frozenset({str, int, float, bool, _dt.date})
+
+
+def _cell_text(value: Any) -> str:
+    return repr((type(value).__name__, repr(value)))
+
+
+def _column_text(column: ColumnData) -> str:
+    """``repr(tuple((type(cell).__name__, repr(cell)) for cell in column.values))``.
+
+    The text of a code whose class is in :data:`_FOLDED_PER_CODE` is built
+    once and joined per row with the tuple ``repr``'s own separators; other
+    cells, and every null (``None`` and NaN share code ``-1``), are folded
+    per cell.
+    """
+    distinct, _, codes = column.dictionary
+    texts = [
+        _cell_text(value) if value.__class__ in _FOLDED_PER_CODE else None
+        for value in distinct
+    ]
+    texts.append(None)  # index -1: the nulls
+    parts = list(map(texts.__getitem__, codes))
+    if 1 in column.null_mask or None in texts[:-1]:
+        parts = [
+            _cell_text(value) if part is None else part
+            for part, value in zip(parts, column.values)
+        ]
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return f"({', '.join(parts)})"

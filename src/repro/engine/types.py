@@ -28,6 +28,7 @@ __all__ = [
     "coerce",
     "infer_type",
     "infer_column_type",
+    "TYPE_SAMPLE_LIMIT",
     "values_equal",
     "value_key",
     "compare_values",
@@ -234,7 +235,11 @@ def _join_types(a: DataType, b: DataType) -> DataType:
     return _JOIN.get(frozenset({a, b}), DataType.STRING)
 
 
-def infer_column_type(values: Iterable[Any], sample_limit: int = 1000) -> DataType:
+#: How many non-null values :func:`infer_column_type` reads by default.
+TYPE_SAMPLE_LIMIT = 1000
+
+
+def infer_column_type(values: Iterable[Any], sample_limit: int = TYPE_SAMPLE_LIMIT) -> DataType:
     """Infer a column type from a sample of its *values*.
 
     Nulls are ignored; an all-null column is typed :data:`DataType.ANY`.

@@ -26,7 +26,6 @@ from repro.matching.field_matrix import (
 )
 from repro.similarity.soft_tfidf import SoftTfIdfSimilarity
 from repro.similarity.tfidf import merge_counts
-from repro.similarity.tokenize import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.prepare.preparer import PreparedSources
@@ -167,14 +166,14 @@ def field_corpus_counts(relation: Relation) -> Tuple[Dict[str, int], int]:
     the reduction :meth:`TfIdfVectorizer.fit` performs over those strings
     (one count per document, document frequency over the *set* of its
     tokens), computed once per distinct cell of each column's dictionary
-    and weighted by the cell's count.
+    (from the column's cached tokens) and weighted by the cell's count.
     """
     document_frequency: Dict[str, int] = {}
     document_count = 0
-    for name in relation.column_names:
-        values, counts, _ = relation.dictionary(name)
-        for value, count in zip(values, counts):
-            for term in set(tokenize(str(value))):
+    for column in relation.store.columns:
+        counts = column.dictionary[1]
+        for tokens, count in zip(column.tokens, counts):
+            for term in set(tokens):
                 document_frequency[term] = document_frequency.get(term, 0) + count
         document_count += sum(counts)
     return document_frequency, document_count

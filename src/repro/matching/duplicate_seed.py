@@ -42,7 +42,6 @@ import numpy as np
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
 from repro.similarity.tfidf import TfIdfVectorizer, cosine_similarity, merge_counts
-from repro.similarity.tokenize import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.prepare.preparer import PreparedSources
@@ -162,24 +161,26 @@ def compute_seed_statistics(
     built once per registered source and reused across queries.
 
     A row's tokens are its non-null cells' tokens, concatenated in column
-    order, each distinct cell of a column's dictionary tokenised once (to
-    term ids).  That equals ``tokenize(tuple_to_string(row))``: tokens are
-    ``[a-z0-9]+`` runs over a normalisation that maps character by
-    character, the joining space ends every run, and NFKD reordering cannot
-    cross it.  A document's repeated terms become one entry at the first
-    occurrence's position, so every document keeps the first-occurrence
-    order, and term ids are assigned in first-occurrence order over the
-    whole sample.
+    order, each distinct cell of a column's dictionary turned into term ids
+    once, from the column's cached tokens of that cell
+    (:meth:`~repro.engine.columnar.ColumnData.cell_tokens`: only the sampled
+    rows' cells are tokenised here).  That equals
+    ``tokenize(tuple_to_string(row))``: tokens are ``[a-z0-9]+`` runs over a
+    normalisation that maps character by character, the joining space ends
+    every run, and NFKD reordering cannot cross it.  A document's repeated
+    terms become one entry at the first occurrence's position, so every
+    document keeps the first-occurrence order, and term ids are assigned in
+    first-occurrence order over the whole sample.
     """
     indices = sample_indices(len(relation), sample_limit)
-    columns = [relation.dictionary(name) for name in relation.column_names]
-    cell_terms: List[List] = [[None] * len(values) for values, _, _ in columns]
+    columns = [(column, column.dictionary[2]) for column in relation.store.columns]
+    cell_terms: List[List] = [[None] * len(column.dictionary[0]) for column, _ in columns]
     vocabulary: Dict[str, int] = {}
     stream: List[int] = []
     lengths: List[int] = []
     for index in indices:
         start = len(stream)
-        for (values, _, codes), terms in zip(columns, cell_terms):
+        for (column, codes), terms in zip(columns, cell_terms):
             code = codes[index]
             if code < 0:
                 continue
@@ -187,7 +188,7 @@ def compute_seed_statistics(
             if ids is None:
                 ids = terms[code] = [
                     vocabulary.setdefault(token, len(vocabulary))
-                    for token in tokenize(str(values[code]))
+                    for token in column.cell_tokens(code)
                 ]
             stream += ids
         lengths.append(len(stream) - start)

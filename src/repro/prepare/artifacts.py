@@ -7,11 +7,15 @@ parameters; :mod:`repro.prepare.preparer` merges artifacts across sources at
 query time.
 
 Builders deliberately reuse the consumers' own primitives
-(:meth:`TokenBlocking.build_index`,
-:func:`~repro.matching.duplicate_seed.compute_seed_statistics`,
+(:meth:`TokenBlocking.index_codes`, the loop behind
+:meth:`TokenBlocking.build_index`;
+:func:`~repro.matching.duplicate_seed.compute_seed_statistics`;
 :func:`~repro.matching.dumas.field_corpus_counts`) instead of
 re-implementing tokenisation, so an artifact can never drift from what the
-cold code path would compute.
+cold code path would compute.  All three read each column's cached word
+tokens per dictionary code (:attr:`ColumnData.tokens
+<repro.engine.columnar.ColumnData.tokens>`), so preparing a source
+tokenises each of its distinct cells once.
 """
 
 from __future__ import annotations
@@ -138,10 +142,11 @@ def build_field_corpus(relation: Relation) -> FieldCorpusArtifact:
 def build_token_postings(
     relation: Relation, strategy: TokenBlocking
 ) -> TokenPostingsArtifact:
-    """Index every attribute of *relation* with *strategy*'s tokenisation."""
+    """Index every attribute of *relation* with *strategy*'s tokenisation,
+    from each column's cached dictionary codes and tokens."""
     postings: Dict[str, Dict[str, List[int]]] = {}
-    for column in relation.schema:
-        postings[column.name.lower()] = strategy.build_index(relation, [column.name])
+    for column, data in zip(relation.schema, relation.store.columns):
+        postings[column.name.lower()] = strategy.index_codes([(data.tokens, data.dictionary[2])])
     return TokenPostingsArtifact(
         row_count=len(relation),
         params=token_params_key(strategy),

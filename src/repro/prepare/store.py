@@ -85,7 +85,10 @@ class ArtifactStore:
         artifact_dir: optional directory for on-disk persistence.  Created
             on first write.  Files are pickles named
             ``{alias}__{kind}__{params digest}.pkl``; unreadable or
-            mismatching files are treated as misses and overwritten.
+            mismatching files are treated as misses and overwritten.  Writing
+            one removes the alias's files of the same kind under other
+            parameter digests, so a key nothing builds any more (an earlier
+            ``SEED_LAYOUT``, changed tokenisation knobs) leaves no file behind.
     """
 
     def __init__(self, artifact_dir: Optional[str] = None) -> None:
@@ -209,6 +212,10 @@ class ArtifactStore:
             self._directory.mkdir(parents=True, exist_ok=True)
             with path.open("wb") as handle:
                 pickle.dump({"digest": entry.digest, "artifact": entry.artifact}, handle)
+            alias, kind, _ = key
+            for stale in self._directory.glob(f"{self._alias_prefix(alias)}__{kind}__*.pkl"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)
         except OSError:
             # Persistence is an optimisation; an unwritable directory must
             # never fail the query.

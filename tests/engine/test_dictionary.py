@@ -175,6 +175,50 @@ class TestDictionary:
             assert relation.distinct_values(name) == relation.dictionary(name)[0]
 
 
+class TestTokenCache:
+    """``ColumnData.tokens``: one word-token list per dictionary code."""
+
+    @PROPERTY
+    @given(relations())
+    def test_tokens_per_code(self, relation):
+        for column in relation.store.columns:
+            assert column.tokens == [tokenize(str(value)) for value in column.dictionary[0]]
+            assert column.tokens is column.tokens
+
+    def test_rebuilt_after_in_place_growth_and_not_pickled(self):
+        column = ColumnData(["Abbey Road", None, "abbey road"])
+        tokens = column.tokens
+        assert tokens == [["abbey", "road"], ["abbey", "road"]]
+        column.values.append("Kind of Blue")  # grown in place: the dictionary is rebuilt
+        assert column.tokens == tokens + [["kind", "of", "blue"]]
+        assert column.tokens is not tokens
+        restored = pickle.loads(pickle.dumps(column))
+        assert restored._tokens is None
+        assert restored.tokens == column.tokens
+
+    def test_seed_sample_tokenises_only_its_cells(self, monkeypatch):
+        import repro.engine.columnar as columnar
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(columnar, "tokenize", counting)
+        relation = Relation.from_columns({"a": [f"cell {i}" for i in range(100)]})
+        statistics = compute_seed_statistics(relation, 10)
+        assert calls == [f"cell {i}" for i in statistics.indices]
+        column = relation.store.columns[0]
+        assert column.tokens == [tokenize(f"cell {i}") for i in range(100)]
+        assert sorted(calls) == sorted(f"cell {i}" for i in range(100))  # each cell once
+
+    def test_shared_with_derived_relations(self):
+        relation = Relation.from_columns({"a": ["x y", "x y", None]})
+        tokens = relation.store.columns[0].tokens
+        assert relation.project(["a"]).store.columns[0].tokens is tokens
+
+
 class TestReadersMatchPerCellReferences:
     @PROPERTY
     @given(relations())

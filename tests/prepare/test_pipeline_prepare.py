@@ -1,6 +1,7 @@
 """Prepared pipelines: warm reuse, invalidation, and output parity end to end."""
 
 import pickle
+import sys
 
 import pytest
 
@@ -205,6 +206,86 @@ class TestPersistence:
         result = hummer.fuse(aliases)
         assert result.prepared["rebuilt_by_kind"][SEED_KIND] == len(aliases)
         assert fusion_fingerprint(result) == fusion_fingerprint(cold)
+
+
+    def test_files_under_retired_keys_are_removed(self, dataset, tmp_path):
+        """The previous layout's seed files are deleted once a fresh instance
+        writes their replacements: one file per (alias, kind) is left."""
+        from repro.matching.duplicate_seed import SeedStatistics
+        from repro.prepare import SEED_KIND
+        from repro.prepare.store import ArtifactStore
+
+        aliases = list(dataset.sources)
+        cold = build_hummer(dataset).fuse(aliases)
+        store = ArtifactStore(str(tmp_path))
+        retired = []
+        for alias, relation in dataset.sources.items():
+            previous = SeedStatistics.__new__(SeedStatistics)
+            previous.__dict__.update(row_count=len(relation), sample_limit=500)
+            path = store._path(store._key(alias, SEED_KIND, (500,)))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps(
+                {"digest": relation.content_digest(), "artifact": previous}
+            ))
+            retired.append(path.name)
+
+        hummer = build_hummer(dataset, prepare="eager", artifact_dir=str(tmp_path))
+        names = [path.name for path in tmp_path.glob("*.pkl")]
+        assert not set(retired) & set(names)
+        assert len(names) == PER_SOURCE * len(aliases)
+        assert len({tuple(name.split("__")[:2]) for name in names}) == len(names)
+        assert fusion_fingerprint(hummer.fuse(aliases)) == fusion_fingerprint(cold)
+
+
+class TestPrepareWork:
+    """One eager prepare reads each source column's dictionary, built once,
+    and tokenises each distinct non-null source cell once for all three
+    artifact kinds."""
+
+    @staticmethod
+    def count_calls(monkeypatch, function):
+        """Every call of *function*, through any module that imported it."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return function(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(function.__name__) is function:
+                monkeypatch.setattr(module, function.__name__, counting)
+        return calls
+
+    def test_csv_sources_tokenise_each_distinct_cell_once(self, dataset, tmp_path, monkeypatch):
+        from repro.engine.columnar import encode
+        from repro.engine.io import CsvSource, write_csv
+        from repro.similarity.tokenize import tokenize
+
+        for alias, relation in dataset.sources.items():
+            write_csv(relation, tmp_path / f"{alias}.csv")
+        tokenised = self.count_calls(monkeypatch, tokenize)
+        encoded = self.count_calls(monkeypatch, encode)
+        hummer = HumMer(config=FusionConfig(prepare=PrepareConfig(mode="eager")))
+        for alias in dataset.sources:
+            hummer.register(alias, CsvSource(tmp_path / f"{alias}.csv", name=alias))
+        cells = [
+            str(value)
+            for alias in dataset.sources
+            for column in hummer.relation(alias).store.columns
+            for value in column.dictionary[0]
+        ]
+        assert sorted(args[0] for args in tokenised) == sorted(cells)
+        assert encoded == []  # the loader hands every column its dictionary
+
+    def test_in_memory_sources_encode_each_column_once(self, dataset, monkeypatch):
+        from repro.engine.columnar import encode
+
+        sources = {alias: relation.copy() for alias, relation in dataset.sources.items()}
+        encoded = self.count_calls(monkeypatch, encode)
+        hummer = HumMer(config=FusionConfig(prepare=PrepareConfig(mode="eager")))
+        for alias, relation in sources.items():
+            hummer.register(alias, relation)
+        assert len(encoded) == sum(len(relation.schema) for relation in sources.values())
 
 
 class TestValidation:

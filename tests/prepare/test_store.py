@@ -154,6 +154,21 @@ class TestPersistence:
         assert len(remaining) == 1
         assert remaining[0].startswith("orders")
 
+    def test_a_write_removes_the_kinds_files_under_other_params(self, tmp_path):
+        relation = relation_of([{"a": 1}])
+        old = ArtifactStore(str(tmp_path))
+        old.get_or_build("users", "k", ("retired",), relation, lambda: "old")
+        old.get_or_build("users", "other_kind", ("retired",), relation, lambda: "kept")
+        old.get_or_build("orders", "k", ("retired",), relation, lambda: "kept")
+
+        store = ArtifactStore(str(tmp_path))
+        store.get_or_build("users", "k", ("current",), relation, lambda: "new")
+        assert not store._path(store._key("users", "k", ("retired",))).exists()
+        assert store._path(store._key("users", "k", ("current",))).exists()
+        assert store._path(store._key("users", "other_kind", ("retired",))).exists()
+        assert store._path(store._key("orders", "k", ("retired",))).exists()
+        assert len(list(tmp_path.glob("*.pkl"))) == 3
+
     def test_unwritable_artifact_dir_never_fails_a_query(self, tmp_path):
         import os
 

@@ -75,6 +75,30 @@ class TestRestartRecovery:
         assert resumed["columns"] == GOLDEN["columns"]
         assert golden_rounded(resumed["rows"]) == GOLDEN["rows"]
 
+    def test_byte_order_mark_upload_replays_to_the_digest_it_was_snapshotted_at(
+        self, tmp_path, golden_csv
+    ):
+        # The journal keeps the uploaded text, mark included; replay parses
+        # it with the same loader, so the recovered source's digest matches
+        # the session snapshot's and the session resumes.
+        data_dir = tmp_path / "state"
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as first:
+            client = ServiceClient(first.base_url)
+            client.create_tenant("marked")
+            client.upload_csv("crm", "\ufeff" + golden_csv["crm"])
+            client.upload_csv("shop", golden_csv["shop"])
+            session = client.create_session(["crm", "shop"])["session"]
+            client.advance(session, to="duplicate_detection")
+
+        with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as second:
+            client = ServiceClient(second.base_url, tenant="marked")
+            assert client.stats()["recovery"]["errors"] == []
+            client.run_to_completion(session)
+            resumed = client.result(session)
+
+        assert resumed["columns"] == GOLDEN["columns"]
+        assert golden_rounded(resumed["rows"]) == GOLDEN["rows"]
+
     def test_recovery_reports_in_stats(self, tmp_path, golden_csv):
         data_dir = tmp_path / "state"
         with ServiceServer(state=ServiceState(data_dir=str(data_dir))) as first:

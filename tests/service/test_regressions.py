@@ -38,6 +38,9 @@ Tenant ids and source uploads:
     a repeated CSV header dropped a column, a string ``column_names`` named
     one column per character, and ``"replace": "no"`` / ``"has_header":
     "false"`` counted as true.
+11. A CSV upload starting with a byte-order mark named its first column
+    ``"\ufeffname"``, so ``FUSE BY (name)`` missed it; a header-only CSV
+    registered a source without columns.
 """
 
 import http.client
@@ -381,3 +384,16 @@ class TestUploadFields:
         assert (caught.value.status, caught.value.error_type) == (400, "TypeError")
         assert "resolutions" in caught.value.message
         assert client.tenant_status()["sessions"] == []
+
+
+class TestCsvUploadShape:
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, server, client):
+        reply = client.upload_csv("x", "\ufeffname,age\nAnna,3\nAnna,4\n")
+        assert reply["columns"] == ["name", "age"]
+        result = client.query("SELECT name, RESOLVE(age, max) FUSE FROM x FUSE BY (name)")
+        assert result["rows"] == [["Anna", 4]]
+
+    def test_header_only_csv_keeps_its_columns(self, server, client):
+        reply = client.upload_csv("x", "name,age\n")
+        assert (reply["columns"], reply["rows"]) == (["name", "age"], 0)
+        assert client.query("SELECT name FROM x")["rows"] == []
