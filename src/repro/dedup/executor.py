@@ -3,9 +3,10 @@
 Blocking decides *which* pairs duplicate detection looks at; this module
 filters and scores them.  Scoring runs in the calling process through the
 measure's :class:`~repro.dedup.similarity_measure.ColumnarPairScorer`: the
-upper-bound filter reads per-row unions of per-cell trigram sets, and the
-surviving pairs are scored attribute-major in one call, bit-identical to the
-per-pair loop of ``upper_bound`` plus ``compare_rows`` / ``explain_rows``.
+upper-bound filter reads per-row trigram bitmasks (the OR of per-cell masks),
+and the surviving pairs are scored attribute-major in one call, bit-identical
+to the per-pair loop of ``upper_bound`` plus ``compare_rows`` /
+``explain_rows``.
 
 :class:`SerialExecutor` stays a class with a ``score_pairs(generator,
 relation)`` method because ``hummerbench/layers.py`` wraps that attribute to

@@ -142,12 +142,18 @@ class DuplicateSimilarityMeasure:
 
         Rare values approach 1, values occurring in every tuple approach 0.
         """
-        if is_null(value) or self._row_count == 0:
+        if is_null(value):
+            return 0.0
+        return self.normalised_idf(attribute, self._normalise(value))
+
+    def normalised_idf(self, attribute: str, text: str) -> float:
+        """:meth:`soft_idf` of a non-null value whose ``_normalise`` form is *text*."""
+        if self._row_count == 0:
             return 0.0
         counter = self._value_frequencies.get(attribute)
         if counter is None:
             return 0.5
-        frequency = counter.get(self._normalise(value), 0) + self.soft_idf_smoothing
+        frequency = counter.get(text, 0) + self.soft_idf_smoothing
         total = self._row_count + self.soft_idf_smoothing
         return math.log(total / frequency) / math.log(total + 1.0)
 
@@ -216,8 +222,8 @@ class DuplicateSimilarityMeasure:
 
         Character-trigram overlap of the whole tuples, plus a constant slack:
         typo'd duplicates still share most of their trigrams.  The batch
-        scorer keeps one trigram set per distinct cell, so there the estimate
-        is an order of magnitude cheaper than the full comparison — this is
+        scorer keeps one trigram bitmask per distinct cell and per row, so
+        there the estimate is far cheaper than the full comparison — this is
         the "filter (upper bound to the similarity measure)" of §2.3; this
         per-pair reference derives both rows' sets afresh on every call.  It
         is not a true bound: dates and numbers are compared by distance, not
@@ -269,8 +275,13 @@ class ColumnarPairScorer:
     distinct cells plus one code per row, ``-1`` for null) and memoises every
     pure leaf across the whole batch by code:
 
-    * one trigram set per code (the upper-bound filter); a row's set is the
-      union of its cells' sets, kept per row;
+    * one ``_normalise`` text per code, which the filter's trigrams and the
+      soft IDF both read;
+    * one trigram bitmask per code (the upper-bound filter), over a bit table
+      of the scorer's own that gives each distinct trigram one bit in
+      first-seen order; a row's mask is the OR of its cells' masks, kept per
+      row with its bit count, so a pair's overlap is one ``&`` and one
+      ``bit_count``;
     * per-attribute ``(similarity, weight)`` per unordered ``(code, code)``
       cell pair (every leaf is symmetric bit for bit);
     * per-attribute prepared cells (:class:`~repro.similarity.numeric.PreparedValue`:
@@ -304,35 +315,50 @@ class ColumnarPairScorer:
         #: per attribute, one lazily filled slot per code
         sizes = [len(values) for _, values, _, _ in self._attributes]
         self._cells: List[List] = [[None] * size for size in sizes]
+        self._texts: List[List] = [[None] * size for size in sizes]
         self._idfs: List[List] = [[None] * size for size in sizes]
-        self._grams: List[List] = [[None] * size for size in sizes]
+        self._masks: List[List] = [[None] * size for size in sizes]
         self._token_similarities: Dict[Tuple[str, str], float] = {}
-        self._row_grams: List[Optional[frozenset]] = [None] * len(relation)
+        #: trigram → its bit in the masks, in first-seen order
+        self._bits: Dict[str, int] = {}
+        #: per row, ``(mask, mask.bit_count())`` once built
+        self._row_masks: List[Optional[Tuple[int, int]]] = [None] * len(relation)
 
     # -- upper bound ---------------------------------------------------------------
 
     def upper_bound(self, left_index: int, right_index: int) -> float:
-        """Bit-identical to :meth:`DuplicateSimilarityMeasure.upper_bound`."""
-        left_grams = self._trigrams(left_index)
-        right_grams = self._trigrams(right_index)
-        if not left_grams or not right_grams:
+        """Bit-identical to :meth:`DuplicateSimilarityMeasure.upper_bound`: a
+        mask's bit count is its row's trigram-set size, and the AND's is the
+        sets' overlap."""
+        left, left_size = self._row_masks[left_index] or self._row_mask(left_index)
+        right, right_size = self._row_masks[right_index] or self._row_mask(right_index)
+        if not left_size or not right_size:
             return 1.0
-        overlap = len(left_grams & right_grams)
-        smaller = min(len(left_grams), len(right_grams))
-        return min(1.0, overlap / smaller + 0.3)
+        overlap = (left & right).bit_count()
+        return min(1.0, overlap / min(left_size, right_size) + 0.3)
 
-    def _trigrams(self, index: int) -> frozenset:
-        grams = self._row_grams[index]
-        if grams is None:
-            cells = []
-            for (_, values, codes, _), sets in zip(self._attributes, self._grams):
-                code = codes[index]
-                if code >= 0:
-                    if sets[code] is None:
-                        sets[code] = self.measure._trigrams(values[code])
-                    cells.append(sets[code])
-            grams = self._row_grams[index] = frozenset().union(*cells)
-        return grams
+    def _row_mask(self, index: int) -> Tuple[int, int]:
+        """One row's ``(mask, bit count)``: the OR of its cells' masks, kept."""
+        mask = 0
+        for slot, (_, _, codes, _) in enumerate(self._attributes):
+            code = codes[index]
+            if code >= 0:
+                mask |= self._mask(slot, code)
+        row = self._row_masks[index] = (mask, mask.bit_count())
+        return row
+
+    def _mask(self, slot: int, code: int) -> int:
+        """The trigram bitmask of one code's cell, built on first use."""
+        masks = self._masks[slot]
+        mask = masks[code]
+        if mask is None:
+            bits = self._bits
+            padded = f"  {self._text(slot, code)} "
+            mask = 0
+            for start in range(len(padded) - 2):
+                mask |= 1 << bits.setdefault(padded[start : start + 3], len(bits))
+            masks[code] = mask
+        return mask
 
     # -- batched scoring ------------------------------------------------------------
 
@@ -436,9 +462,17 @@ class ColumnarPairScorer:
         idfs = self._idfs[slot]
         idf = idfs[code]
         if idf is None:
-            attribute, values, _, _ = self._attributes[slot]
-            idf = idfs[code] = self.measure.soft_idf(attribute, values[code])
+            attribute = self._attributes[slot][0]
+            idf = idfs[code] = self.measure.normalised_idf(attribute, self._text(slot, code))
         return idf
+
+    def _text(self, slot: int, code: int) -> str:
+        """The ``_normalise`` text of one code's cell, computed on first use."""
+        texts = self._texts[slot]
+        text = texts[code]
+        if text is None:
+            text = texts[code] = self.measure._normalise(self._attributes[slot][1][code])
+        return text
 
     def _token_similarity(self, token: str, other: str) -> float:
         """Jaro-Winkler of two tokens, memoised scorer-wide for Monge-Elkan.

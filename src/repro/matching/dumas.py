@@ -167,13 +167,15 @@ def field_corpus_counts(relation: Relation) -> Tuple[Dict[str, int], int]:
     (one count per document, document frequency over the *set* of its
     tokens), computed once per distinct cell of each column's dictionary
     (from the column's cached tokens) and weighted by the cell's count.
+    Terms enter in first-occurrence order, so the dict's order (and the
+    persisted artifact's bytes) do not depend on ``PYTHONHASHSEED``.
     """
     document_frequency: Dict[str, int] = {}
     document_count = 0
     for column in relation.store.columns:
         counts = column.dictionary[1]
         for tokens, count in zip(column.tokens, counts):
-            for term in set(tokens):
+            for term in dict.fromkeys(tokens):
                 document_frequency[term] = document_frequency.get(term, 0) + count
         document_count += sum(counts)
     return document_frequency, document_count

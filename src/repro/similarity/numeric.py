@@ -19,7 +19,7 @@ import datetime as _dt
 import math
 from typing import Any, Callable, List, Optional
 
-from repro.engine.types import DataType, infer_type, is_null
+from repro.engine.types import DataType, TypeCoercionError, coerce, infer_type, is_null
 from repro.similarity.levenshtein import levenshtein_similarity
 from repro.similarity.monge_elkan import monge_elkan_tokens
 from repro.similarity.tokenize import normalize_text, tokenize
@@ -74,8 +74,6 @@ def _as_date(value: Any) -> Optional[_dt.date]:
     if isinstance(value, _dt.date):
         return value
     if isinstance(value, str):
-        from repro.engine.types import coerce, TypeCoercionError
-
         try:
             coerced = coerce(value, DataType.DATE)
         except TypeCoercionError:
@@ -93,17 +91,19 @@ class PreparedValue:
         text: the cell's :func:`normalize_text` form (the string comparison
             input whatever the type, since mixed-type pairs compare as text).
         date: the parsed date of a ``DATE`` cell, else ``None``.
+        boolean: the parsed truth value of a ``BOOLEAN`` cell, else ``None``.
         tokens: the word tokens of :attr:`text`, derived on first use (only
             multi-word comparisons need them).
     """
 
-    __slots__ = ("value", "type", "text", "date", "_tokens")
+    __slots__ = ("value", "type", "text", "date", "boolean", "_tokens")
 
     def __init__(self, value: Any):
         self.value = value
         self.type = infer_type(value)
         self.text = normalize_text(value)
         self.date = _as_date(value) if self.type is DataType.DATE else None
+        self.boolean = coerce(value, DataType.BOOLEAN) if self.type is DataType.BOOLEAN else None
         self._tokens: Optional[List[str]] = None
 
     @property
@@ -122,7 +122,8 @@ def prepared_similarity(
 
     * Numbers → :func:`numeric_similarity`.
     * Dates → :func:`date_similarity`.
-    * Booleans → exact match.
+    * Booleans → 1.0 when both parse to the same truth value (``'yes'``,
+      ``'TRUE'`` and ``True`` agree), else 0.0.
     * Everything else → hybrid string similarity: max of normalised edit
       distance and Monge-Elkan (token-order tolerant) when either text has
       several words.
@@ -137,7 +138,7 @@ def prepared_similarity(
     if left_type is DataType.DATE and right_type is DataType.DATE:
         return _date_decay(left.date, right.date)
     if left_type is DataType.BOOLEAN and right_type is DataType.BOOLEAN:
-        return 1.0 if str(left.value).lower() == str(right.value).lower() else 0.0
+        return 1.0 if left.boolean is right.boolean else 0.0
 
     left_text = left.text
     right_text = right.text

@@ -1,11 +1,15 @@
 """The one in-process scoring path is bit-identical to the per-pair loop."""
 
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 
 import pytest
 
+from repro.datagen.corruptor import CorruptionConfig
+from repro.datagen.scenarios import cd_stores_scenario, students_scenario
 from repro.dedup import similarity_measure
+from repro.dedup.blocking.token import TokenBlocking
 from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
 from repro.dedup.executor import SerialExecutor
@@ -85,6 +89,52 @@ class TestColumnarBatchParity:
                 assert score.evidence == evidence
             else:
                 assert score.evidence is None
+
+    @pytest.mark.parametrize("keep_evidence", [True, False])
+    def test_heavy_pruning_bit_identical(self, keep_evidence):
+        # The service's input shape (cds 40 x 3) under all-pairs blocking:
+        # the filter prunes ~90% of the candidates, where the token-blocked
+        # students inputs prune ~2%.
+        dataset = cd_stores_scenario(entity_count=40, store_count=3, seed=1000)
+        relation, measure, pairs = self.setup_scoring(dataset)
+        generator = CandidatePairGenerator(
+            measure, filter_threshold=0.6, keep_evidence=keep_evidence
+        )
+        scores = generator.score_pairs(relation)
+        expected, pruned = self.reference_scores(
+            measure, relation, pairs, 0.6, True, keep_evidence
+        )
+        assert generator.statistics.pruned == pruned > 0.8 * len(pairs)
+        assert [
+            (score.left_index, score.right_index, score.similarity.hex(), score.evidence)
+            for score in scores
+        ] == [(i, j, similarity.hex(), evidence) for i, j, similarity, evidence in expected]
+
+    def test_filter_memory_peak(self):
+        # Per-row trigram bitmasks keep filtering the candidates of one
+        # students 1500 input near 1 MB of Python allocations (per-row
+        # trigram sets took ~8.5 MB); tracemalloc counts allocations, not
+        # time, so the bound holds on any runner.
+        sources = students_scenario(
+            entity_count=1500, corruption=CorruptionConfig.low(), seed=1000
+        ).source_list
+        relation = transform_sources(
+            sources, MultiMatcher(DumasMatcher()).match(sources).correspondences
+        )
+        measure = DuplicateSimilarityMeasure(select_interesting_attributes(relation)).fit(relation)
+        generator = CandidatePairGenerator(
+            measure, filter_threshold=0.6, blocking=TokenBlocking(max_block_size=10)
+        )
+        candidates = list(generator.candidate_indices(relation))
+        tracemalloc.start()
+        try:
+            scorer = measure.columnar_scorer(relation)
+            survivors = [pair for pair in candidates if scorer.upper_bound(*pair) >= 0.6]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(candidates) > 900 and survivors
+        assert peak < 3 * 2**20
 
     def test_columnar_scorer_upper_bound_parity(self, small_students_dataset):
         relation, measure, pairs = self.setup_scoring(small_students_dataset)

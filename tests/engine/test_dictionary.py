@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.dedup.blocking.token import TokenBlocking
 from repro.dedup.descriptions import AttributeSelection
+from repro.dedup.pairs import CandidatePairGenerator
 from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
 from repro.engine.columnar import ColumnData
+from repro.engine.io.csv_source import relation_from_csv_text, relation_to_csv_text
 from repro.engine.relation import Relation
 from repro.engine.statistics import profile_relation
 from repro.engine.types import is_null
@@ -83,6 +85,54 @@ def relations(draw):
         columns[f"c{position}"] = draw(
             st.lists(st.sampled_from(pool), min_size=height, max_size=height)
         )
+    return Relation.from_columns(columns, infer_types=False)
+
+
+#: Text cells for the upper-bound filter: ``""`` and ``"   "`` both give only
+#: the ``"   "`` trigram, and lower-casing changes some non-ASCII lengths.
+FILTER_TEXTS = ["", "   ", "\t", "abc", "ab abc", "M\u00fcller", "M\u00dcLLER", "\u0130stanbul",
+                "stra\u00dfe", "\u03a9\u03bc\u03ad\u03b3\u03b1", "\u65e5\u672c\u8a9e"]
+
+#: CSV spellings, one list per column type, whose typed cells print
+#: otherwise: ``007`` loads as 7, ``1.50`` as 1.5, ``yes`` as True and
+#: ``02.01.2000`` as a date printed ``2000-01-02``; ``""`` loads as null.
+CSV_SPELLINGS = [
+    ["007", "+3", "7", ""],
+    ["1.50", "2.0", "-0.0", "1e3", ""],
+    ["TRUE", "yes", "F", "no", ""],
+    ["02.01.2000", "2000/01/02", "01/13/2000", ""],
+]
+
+
+@st.composite
+def filter_relations(draw):
+    """1–3 text columns drawing from one shared pool, so one cell (and its
+    trigrams) recurs in two attributes of a row, beside up to 2 typed columns
+    loaded from CSV text; at times an all-null row at the end."""
+    height = draw(st.integers(1, 8))
+    texts = st.one_of(
+        st.none(),
+        st.sampled_from(FILTER_TEXTS),
+        st.text(alphabet=st.sampled_from(LETTERS), max_size=7),
+    )
+    pool = draw(st.lists(texts, min_size=1, max_size=5))
+    columns = {
+        f"t{position}": draw(st.lists(st.sampled_from(pool), min_size=height, max_size=height))
+        for position in range(draw(st.integers(1, 3)))
+    }
+    spelled = {
+        f"c{kind}": draw(
+            st.lists(st.sampled_from(CSV_SPELLINGS[kind]), min_size=height, max_size=height)
+        )
+        for kind in draw(st.sets(st.integers(0, len(CSV_SPELLINGS) - 1), max_size=2))
+    }
+    if spelled:
+        text = relation_to_csv_text(Relation.from_columns(spelled, infer_types=False))
+        loaded = relation_from_csv_text(text)
+        columns.update((name, list(loaded.column(name))) for name in spelled)
+    if draw(st.booleans()):
+        for values in columns.values():
+            values.append(None)
     return Relation.from_columns(columns, infer_types=False)
 
 
@@ -253,12 +303,15 @@ class TestReadersMatchPerCellReferences:
     @PROPERTY
     @given(relations())
     def test_field_corpus(self, relation):
-        corpus = [str(value) for row in relation.rows for value in row if not is_null(value)]
+        # one document per non-null cell, column by column, terms in order
+        names = relation.column_names
+        corpus = [str(value) for name in names for value in non_null(relation, name)]
         frequency, count = field_corpus_counts(relation)
         expected = Counter()
         for document in corpus:
-            expected.update(set(tokenize(document)))
-        assert frequency == dict(expected)
+            for term in dict.fromkeys(tokenize(document)):
+                expected[term] += 1
+        assert list(frequency.items()) == list(expected.items())
         assert count == len(corpus)
         fitted = TfIdfVectorizer().fit(corpus)
         counted = TfIdfVectorizer().fit_counts(frequency, count)
@@ -318,3 +371,71 @@ class TestReadersMatchPerCellReferences:
             fresh = DuplicateSimilarityMeasure(selection).fit(relation)
             bounds.append(fresh.upper_bound(rows[i], rows[j]).hex())
         assert [scorer.upper_bound(i, j).hex() for i, j in pairs] == bounds
+
+
+class TestFilterBitmasks:
+    """The batch scorer's upper-bound filter (per-row trigram bitmasks over a
+    bit table of the scorer's own) against the per-pair reference."""
+
+    @PROPERTY
+    @given(filter_relations(), st.data())
+    def test_bounds_survivors_and_soft_idfs(self, relation, data):
+        measure = DuplicateSimilarityMeasure(AttributeSelection(relation.column_names))
+        measure.fit(relation)
+        rows = relation.rows
+        count = len(relation)
+        pairs = [(i, j) for i in range(count) for j in range(count) if i != j]
+        bounds = [measure.upper_bound(rows[i], rows[j]) for i, j in pairs]
+        scorer = measure.columnar_scorer(relation)
+        assert [scorer.upper_bound(i, j).hex() for i, j in pairs] == [
+            bound.hex() for bound in bounds
+        ]
+        # a threshold that some pair's bound equals exactly
+        threshold = data.draw(st.sampled_from(bounds)) if bounds else 0.6
+        candidates = [pair for pair in pairs if pair[0] < pair[1]]
+        survivors = [
+            pair for pair, bound in zip(pairs, bounds) if pair[0] < pair[1] and bound >= threshold
+        ]
+        made, build = [], measure.columnar_scorer
+
+        def columnar_scorer(scored):  # keep the scorer the executor builds
+            made.append(build(scored))
+            return made[-1]
+
+        measure.columnar_scorer = columnar_scorer
+        for use_filter in (True, False):
+            generator = CandidatePairGenerator(
+                measure, filter_threshold=threshold, use_filter=use_filter
+            )
+            scores = generator.score_pairs(relation)
+            expected = survivors if use_filter else candidates
+            assert [(score.left_index, score.right_index) for score in scores] == expected
+            # the soft IDF reads the per-code text table the filter fills
+            scorer = made.pop()
+            for slot, (attribute, values, _, _) in enumerate(scorer._attributes):
+                for code, idf in enumerate(scorer._idfs[slot]):
+                    if idf is not None:
+                        assert idf.hex() == measure.soft_idf(attribute, values[code]).hex()
+
+    def test_overlap_exactly_at_the_threshold_survives(self):
+        # rows 0 and 1 share 3 of their 10 trigrams: 3 / 10 + 0.3 == 0.6;
+        # rows 0 and 2 share 2 (0.5), rows 1 and 2 share 7 (1.0)
+        relation = Relation.from_columns({"a": ["abcdefghi", "abcxyzuvw", "abqxyzuvw"]})
+        measure = DuplicateSimilarityMeasure(AttributeSelection(["a"])).fit(relation)
+        assert measure.columnar_scorer(relation).upper_bound(0, 1) == 0.6
+        generator = CandidatePairGenerator(measure, filter_threshold=0.6)
+        scores = generator.score_pairs(relation)
+        assert [score.as_tuple() for score in scores] == [(0, 1), (1, 2)]
+        assert generator.statistics.pruned == 1
+
+    def test_scorers_share_no_bit_table(self):
+        relation = Relation.from_columns({"a": ["abc", "xyz"], "b": ["xyz", None]})
+        measure = DuplicateSimilarityMeasure(AttributeSelection(["a", "b"])).fit(relation)
+        first = measure.columnar_scorer(relation)
+        second = measure.columnar_scorer(relation)
+        reference = measure.upper_bound(*relation.rows)
+        assert first.upper_bound(0, 1) == second.upper_bound(1, 0) == reference
+        assert first._bits is not second._bits
+        # each table numbers the trigrams in the order its own scorer met them
+        assert set(first._bits) == set(second._bits)
+        assert list(first._bits) != list(second._bits)

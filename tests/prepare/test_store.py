@@ -1,5 +1,10 @@
 """ArtifactStore: digest validation, counters, persistence, invalidation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.engine.relation import Relation
 from repro.prepare.store import ArtifactStore
 
@@ -236,3 +241,39 @@ class TestContentDigest:
         remaining = [path.name for path in tmp_path.glob("*.pkl")]
         assert len(remaining) == 1
         assert remaining[0].startswith("other")
+
+
+# Persists the field corpus of one cd store through an ArtifactStore and
+# prints its document frequencies in dict order.
+FIELD_CORPUS_SCRIPT = """
+import sys
+from repro.datagen.scenarios import cd_stores_scenario
+from repro.prepare.artifacts import FIELD_KIND, build_field_corpus
+from repro.prepare.store import ArtifactStore
+
+source = cd_stores_scenario(entity_count=40, store_count=3, seed=1000).source_list[0]
+store = ArtifactStore(sys.argv[1])
+corpus = store.get_or_build(source.name, FIELD_KIND, (), source, lambda: build_field_corpus(source))
+print(corpus.document_count, list(corpus.document_frequency.items()))
+"""
+
+
+def test_field_corpus_does_not_depend_on_the_hash_seed(tmp_path):
+    # A cell's terms must not be counted in the order of a set: that order
+    # follows string hashing, which PYTHONHASHSEED varies per process.
+    source = str(Path(__file__).resolve().parents[2] / "src")
+
+    def persisted(hash_seed):
+        directory = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = source + os.pathsep + env.get("PYTHONPATH", "")
+        items = subprocess.run(
+            [sys.executable, "-c", FIELD_CORPUS_SCRIPT, str(directory)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        (artifact,) = directory.glob("*.pkl")
+        return items, artifact.read_bytes()
+
+    items, artifact = persisted("1")
+    assert len(items) > 1000
+    assert persisted("2") == (items, artifact)

@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dedup.descriptions import AttributeSelection
+from repro.dedup.similarity_measure import DuplicateSimilarityMeasure
+from repro.engine.relation import Relation
+from repro.engine.types import DataType, coerce
 from repro.similarity import (
     SoftTfIdfSimilarity,
     TfIdfSimilarity,
@@ -192,6 +196,19 @@ class TestNumericAndValueSimilarity:
     def test_value_similarity_booleans(self):
         assert value_similarity(True, True) == 1.0
         assert value_similarity(True, False) == 0.0
+
+    @pytest.mark.parametrize(
+        "left, right", [("yes", "TRUE"), (True, "yes"), ("yes", "\tyes\n"), ("f", False)]
+    )
+    def test_equal_booleans_spelled_differently_agree(self, left, right):
+        # both cells parse to one truth value, so they are not a contradiction
+        assert value_similarity(left, right) == 1.0
+        assert value_similarity(left, not coerce(right, DataType.BOOLEAN)) == 0.0
+        relation = Relation(["active"], [(left,), (right,)])
+        measure = DuplicateSimilarityMeasure(AttributeSelection(["active"])).fit(relation)
+        evidence = measure.explain_rows(*relation.rows)
+        assert evidence.matched_attributes == ["active"]
+        assert evidence.contradicting_attributes == []
 
     def test_value_similarity_dates(self):
         assert value_similarity(datetime.date(2005, 1, 1), datetime.date(2005, 1, 1)) == 1.0
