@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.relation import Relation
 from repro.engine.types import is_null, value_key
@@ -60,23 +60,49 @@ class Conflict:
         return f"{self.column}[object {self.object_id}]: {self.kind.value} ({rendered})"
 
 
-@dataclass
 class ConflictReport:
-    """All conflicts of a fused input table, with summary statistics."""
+    """All conflicts of a fused input table, with summary statistics.
 
-    conflicts: List[Conflict] = field(default_factory=list)
-    cluster_count: int = 0
-    multi_tuple_cluster_count: int = 0
+    A :func:`find_conflicts` report counts its conflicts by kind and builds
+    the :class:`Conflict` objects on the first read of :attr:`conflicts`;
+    the pipeline summary and the CLI read only the counts.
+    """
+
+    def __init__(
+        self,
+        conflicts: Optional[List[Conflict]] = None,
+        cluster_count: int = 0,
+        multi_tuple_cluster_count: int = 0,
+    ):
+        self._conflicts = [] if conflicts is None else conflicts
+        self._pending: Optional[Tuple[Counter, Callable]] = None  # (counts, build) until built
+        self.cluster_count = cluster_count
+        self.multi_tuple_cluster_count = multi_tuple_cluster_count
+
+    @property
+    def conflicts(self) -> List[Conflict]:
+        """Every conflict, cluster by cluster in first-row order."""
+        pending = self._pending  # one read: another thread may be building too
+        if pending is not None:
+            self._conflicts = pending[1]()
+            self._pending = None
+        return self._conflicts
+
+    def _count(self, kind: ConflictKind) -> int:
+        pending = self._pending
+        if pending is not None:
+            return pending[0][kind]
+        return sum(1 for c in self._conflicts if c.kind is kind)
 
     @property
     def contradiction_count(self) -> int:
         """Number of contradictions (distinct non-null values disagree)."""
-        return sum(1 for c in self.conflicts if c.kind is ConflictKind.CONTRADICTION)
+        return self._count(ConflictKind.CONTRADICTION)
 
     @property
     def uncertainty_count(self) -> int:
         """Number of uncertainties (value vs. null)."""
-        return sum(1 for c in self.conflicts if c.kind is ConflictKind.UNCERTAINTY)
+        return self._count(ConflictKind.UNCERTAINTY)
 
     def by_column(self) -> Dict[str, List[Conflict]]:
         """Conflicts grouped by attribute."""
@@ -117,8 +143,10 @@ def find_conflicts(
     :func:`classify_values` would classify its values: code ``-1`` is null
     and one code is one value, so ``value_key`` runs only for a cluster
     holding two different non-null codes, once per code (``10`` and ``10.0``
-    still agree).  A conflict's ``values`` and ``sources`` are built only
-    when it is reported, and one cluster's conflicts share one ``sources``.
+    still agree).  The report keeps each conflict as its cluster, column and
+    kind; its :class:`Conflict` objects are built from the column lists on
+    the first read of :attr:`ConflictReport.conflicts`, and one cluster's
+    conflicts share one ``sources``.
     """
     from repro.engine.operators.groupby import group_keys
 
@@ -147,17 +175,23 @@ def find_conflicts(
         for position, column in enumerate(relation.schema)
         if column.name.lower() not in ignored
     ]
+    records = []  # (cluster members, column slot, kind)
     for members in clusters.values():
-        sources = None
-        for name, values, (distinct, _, codes), value_keys in columns:
+        for slot, (_, _, (distinct, _, codes), value_keys) in enumerate(columns):
             kind = _classify_codes({codes[index] for index in members}, distinct, value_keys)
-            if kind is ConflictKind.NONE:
-                continue
-            if sources is None:
+            if kind is not ConflictKind.NONE:
+                records.append((members, slot, kind))
+
+    def build() -> List[Conflict]:
+        conflicts, cluster, sources = [], None, None
+        for members, slot, kind in records:
+            if members is not cluster:  # one cluster's conflicts share one sources list
+                cluster = members
                 sources = [
                     None if source_values is None else source_values[index] for index in members
                 ]
-            report.conflicts.append(
+            name, values = columns[slot][:2]
+            conflicts.append(
                 Conflict(
                     object_id=object_values[members[0]],
                     column=name,
@@ -166,6 +200,9 @@ def find_conflicts(
                     sources=sources,
                 )
             )
+        return conflicts
+
+    report._pending = (Counter(kind for _, _, kind in records), build)
     return report
 
 

@@ -142,21 +142,24 @@ class TokenBlocking(BlockingStrategy):
         return index
 
     def indexed_blocks(
-        self, relation: Relation, attributes: Sequence[str], prepared=None
+        self, relation: Relation, attributes: Sequence[str], prepared=None, cap=None
     ) -> Dict[str, List[int]]:
         """The inverted index for *relation* — prepared when available.
 
         A prepared run's *prepared* view is asked first; a served index is
         the union of per-source postings built once per registered source,
         shifted to the combined relation's row offsets — member-identical to
-        what :meth:`build_index` would tokenise from scratch.  Without a
+        what :meth:`build_index` would tokenise afresh, except that
+        with *cap* it may leave out blocks that must exceed the cap
+        (:meth:`PreparedQueryView.token_index
+        <repro.prepare.preparer.PreparedQueryView.token_index>`).  Without a
         view (standalone use) the index is always built
         cold: reuse lives in the catalog's artifact store, which knows when
         a source's data changed, not in a per-strategy cache that has to
         guess.
         """
         if prepared is not None:
-            index = prepared.token_index(relation, attributes)
+            index = prepared.token_index(relation, attributes, cap)
             if index is not None:
                 return index
         return self.build_index(relation, attributes)
@@ -164,8 +167,8 @@ class TokenBlocking(BlockingStrategy):
     def pairs(
         self, relation: Relation, attributes: Sequence[str], prepared=None
     ) -> Iterator[Tuple[int, int]]:
-        index = self.indexed_blocks(relation, attributes, prepared)
         cap = self.effective_cap(len(relation))
+        index = self.indexed_blocks(relation, attributes, prepared, cap)
         seen: Set[Tuple[int, int]] = set()
         for members in index.values():
             if len(members) < 2 or len(members) > cap:

@@ -36,15 +36,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dedup.descriptions import AttributeSelection
 from repro.engine.relation import Relation
 from repro.engine.types import is_null
-from repro.similarity.jaro import jaro_winkler_similarity
-from repro.similarity.numeric import (
-    PreparedValue,
-    numeric_similarity,
-    prepared_similarity,
-    value_similarity,
-)
+from repro.similarity.monge_elkan import TokenPairTable
+from repro.similarity.numeric import PreparedValue, numeric_similarity, prepared_similarity
 
 __all__ = ["PairEvidence", "DuplicateSimilarityMeasure", "ColumnarPairScorer"]
+
+
+def _is_number(value) -> bool:
+    """Whether a cell is an ``int`` or ``float`` (not a ``bool``): the cells
+    :meth:`DuplicateSimilarityMeasure.fit` reads a numeric range from."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -116,11 +117,7 @@ class DuplicateSimilarityMeasure:
             counter: Counter = Counter()
             for value, count in zip(values, counts):
                 counter[self._normalise(value)] += count
-            numeric_values = [
-                float(value)
-                for value in values
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            ]
+            numeric_values = [float(value) for value in values if _is_number(value)]
             self._value_frequencies[attribute] = counter
             if len(numeric_values) >= 2:
                 value_range = max(numeric_values) - min(numeric_values)
@@ -192,25 +189,24 @@ class DuplicateSimilarityMeasure:
         evidence.similarity = weighted_sum / weight_total if weight_total > 0 else 0.0
         return evidence
 
-    def _attribute_similarity(
-        self, attribute: str, left, right, values=value_similarity
-    ) -> float:
-        """Per-attribute similarity: range-scaled for numbers, sharpened overall.
+    def _attribute_similarity(self, attribute: str, left, right) -> float:
+        """:meth:`_cell_similarity` of two non-null raw cells, prepared afresh."""
+        return self._cell_similarity(attribute, PreparedValue(left), PreparedValue(right))
 
-        *values* scores the pairs that are not range-scaled; the columnar
-        scorer passes :func:`prepared_similarity` over its per-code prepared
-        cells.
+    def _cell_similarity(
+        self, attribute: str, left: PreparedValue, right: PreparedValue, table=None
+    ) -> float:
+        """Per-attribute similarity of two prepared cells: range-scaled for
+        numbers, sharpened overall.
+
+        The one per-attribute rule of both scoring paths; the columnar scorer
+        passes its per-code prepared cells and its token-pair *table*.
         """
-        both_numeric = (
-            isinstance(left, (int, float))
-            and isinstance(right, (int, float))
-            and not isinstance(left, bool)
-            and not isinstance(right, bool)
-        )
-        if both_numeric and attribute in self._numeric_scales:
-            raw = numeric_similarity(float(left), float(right), scale=self._numeric_scales[attribute])
+        scale = self._numeric_scales.get(attribute)
+        if scale is not None and _is_number(left.value) and _is_number(right.value):
+            raw = numeric_similarity(left.number, right.number, scale=scale)
         else:
-            raw = values(left, right)
+            raw = prepared_similarity(left, right, table)
         if self.sharpness == 1.0:
             return raw
         return raw ** self.sharpness
@@ -318,7 +314,7 @@ class ColumnarPairScorer:
         self._texts: List[List] = [[None] * size for size in sizes]
         self._idfs: List[List] = [[None] * size for size in sizes]
         self._masks: List[List] = [[None] * size for size in sizes]
-        self._token_similarities: Dict[Tuple[str, str], float] = {}
+        self._token_pairs = TokenPairTable()
         #: trigram → its bit in the masks, in first-seen order
         self._bits: Dict[str, int] = {}
         #: per row, ``(mask, mask.bit_count())`` once built
@@ -436,35 +432,20 @@ class ColumnarPairScorer:
 
     def _score_cells(self, slot: int, left: int, right: int) -> Tuple[float, float]:
         """``(similarity, weight)`` of two codes' cells of one attribute."""
-        measure = self.measure
-        attribute, values, _, base_weight = self._attributes[slot]
-        similarity = measure._attribute_similarity(
-            attribute,
-            values[left],
-            values[right],
-            lambda _left, _right: prepared_similarity(
-                self._cell(slot, left), self._cell(slot, right), self._token_similarity
-            ),
-        )
-        idf = max(self._idf(slot, left), self._idf(slot, right))
+        attribute, _, _, base_weight = self._attributes[slot]
+        cells, idfs = self._cells[slot], self._idfs[slot]
+        left_cell = cells[left] or self._cell(slot, left)
+        right_cell = cells[right] or self._cell(slot, right)
+        similarity = self.measure._cell_similarity(attribute, left_cell, right_cell, self._token_pairs)
+        idf = max(idfs[left], idfs[right])
         return similarity, base_weight * (0.25 + 0.75 * idf)
 
     def _cell(self, slot: int, code: int) -> PreparedValue:
-        """The prepared cell of one code, prepared on first use."""
-        cells = self._cells[slot]
-        cell = cells[code]
-        if cell is None:
-            cell = cells[code] = PreparedValue(self._attributes[slot][1][code])
+        """Prepare one code's cell and its soft IDF (on the code's first use)."""
+        attribute, values, _, _ = self._attributes[slot]
+        self._idfs[slot][code] = self.measure.normalised_idf(attribute, self._text(slot, code))
+        cell = self._cells[slot][code] = PreparedValue(values[code])
         return cell
-
-    def _idf(self, slot: int, code: int) -> float:
-        """The soft IDF of one code's cell, computed on first use."""
-        idfs = self._idfs[slot]
-        idf = idfs[code]
-        if idf is None:
-            attribute = self._attributes[slot][0]
-            idf = idfs[code] = self.measure.normalised_idf(attribute, self._text(slot, code))
-        return idf
 
     def _text(self, slot: int, code: int) -> str:
         """The ``_normalise`` text of one code's cell, computed on first use."""
@@ -473,17 +454,3 @@ class ColumnarPairScorer:
         if text is None:
             text = texts[code] = self.measure._normalise(self._attributes[slot][1][code])
         return text
-
-    def _token_similarity(self, token: str, other: str) -> float:
-        """Jaro-Winkler of two tokens, memoised scorer-wide for Monge-Elkan.
-
-        Jaro-Winkler is symmetric bit for bit, so one evaluation fills both
-        orientations and Monge-Elkan's backward pass reads the forward one's.
-        """
-        similarities = self._token_similarities
-        similarity = similarities.get((token, other))
-        if similarity is None:
-            similarity = similarities[token, other] = similarities[other, token] = (
-                jaro_winkler_similarity(token, other)
-            )
-        return similarity

@@ -203,13 +203,18 @@ def infer_type(value: Any) -> DataType:
         return DataType.DATE
     if isinstance(value, str):
         text = value.strip()
-        if text.lower() in _NULL_LITERALS:
+        lowered = text.lower()
+        if lowered in _NULL_LITERALS:
             return DataType.ANY
-        if _INT_RE.match(text):
-            return DataType.INTEGER
-        if _FLOAT_RE.match(text):
-            return DataType.FLOAT
-        if text.lower() in _TRUE_LITERALS or text.lower() in _FALSE_LITERALS:
+        # Both number patterns open with a sign, a digit or a point, none of
+        # them a letter, so a text opening with a letter skips them (and
+        # ``_parse_date`` rejects it at once): it is a boolean or STRING.
+        if not text[:1].isalpha():
+            if _INT_RE.match(text):
+                return DataType.INTEGER
+            if _FLOAT_RE.match(text):
+                return DataType.FLOAT
+        if lowered in _TRUE_LITERALS or lowered in _FALSE_LITERALS:
             return DataType.BOOLEAN
         if _parse_date(text) is not None:
             return DataType.DATE

@@ -29,7 +29,7 @@ wherever it returns ``None``; nothing is installed on the components a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dedup.blocking.base import BlockingStrategy
 from repro.dedup.blocking.token import TokenBlocking
@@ -283,9 +283,19 @@ class PreparedQueryView:
     # -- merged structures --------------------------------------------------------
 
     def token_index(
-        self, relation: Relation, attributes: Sequence[str]
+        self, relation: Relation, attributes: Sequence[str], cap: Optional[int] = None
     ) -> Optional[Dict[str, List[int]]]:
         """The combined token inverted index, merged from per-source postings.
+
+        With *cap* (the block-size cap of :meth:`TokenBlocking.pairs`), a
+        token whose merged block must exceed the cap is left out.  Sources
+        occupy disjoint row ranges, and a source's rows for a token are the
+        union of its attributes' postings, at least its longest posting; so
+        the sum over sources of the longest posting is a lower bound on the
+        merged block, and a token whose bound exceeds the cap is a block
+        ``pairs()`` would drop.  Kept tokens keep their first-seen order
+        (source, then attribute, then posting order), so the candidate
+        sequence is unchanged; without *cap* the index is complete.
 
         Returns ``None`` (→ the caller builds cold) when the request is not
         for this view's combined relation or an attribute the artifacts
@@ -294,23 +304,34 @@ class PreparedQueryView:
         plan = self._merge_plan(relation, attributes)
         if plan is None:
             return None
-        merged: Dict[str, List[int]] = {}
-        for source_index, mapped_attributes in enumerate(plan):
-            bundle = self.prepared.bundles[source_index]
-            offset = self._offsets[source_index]
-            rows_by_token: Dict[str, Set[int]] = {}
+        # token → its (row offset, posting) in source, then attribute order
+        found: Dict[str, List[Tuple[int, List[int]]]] = {}
+        for bundle, offset, mapped_attributes in zip(self.prepared.bundles, self._offsets, plan):
             for mapped in mapped_attributes:
-                if mapped is None:
-                    continue
-                postings = bundle.token.attribute_postings(mapped)
-                if not postings:
-                    continue
-                for token, members in postings.items():
-                    rows_by_token.setdefault(token, set()).update(members)
-            for token, members in rows_by_token.items():
-                merged.setdefault(token, []).extend(
-                    member + offset for member in sorted(members)
-                )
+                postings = None if mapped is None else bundle.token.attribute_postings(mapped)
+                for token, members in (postings or {}).items():
+                    entry = found.get(token)
+                    if entry is None:
+                        found[token] = [(offset, members)]
+                    else:
+                        entry.append((offset, members))
+        merged: Dict[str, List[int]] = {}
+        for token, entries in found.items():
+            if len(entries) == 1:
+                offset, members = entries[0]
+                if cap is None or len(members) <= cap:
+                    merged[token] = [member + offset for member in members]
+                continue
+            # sources holding rows have distinct offsets
+            by_source: Dict[int, List[List[int]]] = {}
+            for offset, members in entries:
+                by_source.setdefault(offset, []).append(members)
+            if cap is not None and sum(max(map(len, lists)) for lists in by_source.values()) > cap:
+                continue
+            rows = merged[token] = []
+            for offset, lists in by_source.items():
+                members = lists[0] if len(lists) == 1 else sorted(set().union(*lists))
+                rows.extend(member + offset for member in members)
         return merged
 
     def _merge_plan(

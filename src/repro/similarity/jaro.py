@@ -21,7 +21,9 @@ from operator import ne
 from repro.similarity.base import SimilarityMeasure
 from repro.similarity.tokenize import normalize_text
 
-__all__ = ["jaro_similarity", "jaro_winkler_similarity", "JaroWinklerSimilarity"]
+__all__ = [
+    "jaro_similarity", "jaro_winkler_similarity", "jaro_winkler_bound", "JaroWinklerSimilarity"
+]
 
 
 def jaro_similarity(left: str, right: str) -> float:
@@ -88,6 +90,35 @@ def jaro_winkler_similarity(
     while prefix < limit and left[prefix] == right[prefix]:
         prefix += 1
     return base + prefix * prefix_scale * (1.0 - base)
+
+
+def jaro_winkler_bound(left: str, right: str, left_chars=None, right_chars=None) -> float:
+    """An upper bound on :func:`jaro_winkler_similarity` (default scaling)
+    from the strings' character sets and common prefix alone.
+
+    Jaro pairs equal characters, so its match count is at most the number
+    of characters of either string that occur in the other; its
+    transposition term ``(m - t) / m`` is at most 1; and the prefix is the
+    exact common prefix (at most 4).  Jaro-Winkler grows with Jaro, so the
+    bound holds; where the two differ they differ by at least
+    ``1 / (3 * len)``, far beyond rounding.  *left_chars* and *right_chars*
+    are the strings' character sets, when the caller keeps them.
+    """
+    if not left or not right:
+        return 1.0 if left == right else 0.0
+    left_chars = set(left) if left_chars is None else left_chars
+    right_chars = set(right) if right_chars is None else right_chars
+    matches = min(
+        sum(map(right_chars.__contains__, left)), sum(map(left_chars.__contains__, right))
+    )
+    if matches == 0:
+        return 0.0
+    base = (matches / len(left) + matches / len(right) + 1.0) / 3.0
+    limit = min(4, len(left), len(right))
+    prefix = 0
+    while prefix < limit and left[prefix] == right[prefix]:
+        prefix += 1
+    return base + prefix * 0.1 * (1.0 - base)
 
 
 class JaroWinklerSimilarity(SimilarityMeasure):

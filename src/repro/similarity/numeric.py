@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.engine.types import DataType, TypeCoercionError, coerce, infer_type, is_null
 from repro.similarity.levenshtein import levenshtein_similarity
-from repro.similarity.monge_elkan import monge_elkan_tokens
+from repro.similarity.monge_elkan import TokenPairTable, monge_elkan_tokens
 from repro.similarity.tokenize import normalize_text, tokenize
 
 __all__ = [
@@ -90,20 +90,30 @@ class PreparedValue:
         type: :func:`~repro.engine.types.infer_type` of the cell.
         text: the cell's :func:`normalize_text` form (the string comparison
             input whatever the type, since mixed-type pairs compare as text).
+        number: the ``float`` of a numeric cell (``INTEGER`` or ``FLOAT``),
+            else ``None``.
         date: the parsed date of a ``DATE`` cell, else ``None``.
-        boolean: the parsed truth value of a ``BOOLEAN`` cell, else ``None``.
+        boolean: the truth value of a ``BOOLEAN`` cell or of a number equal
+            to 0 or 1, else ``None``.
         tokens: the word tokens of :attr:`text`, derived on first use (only
             multi-word comparisons need them).
     """
 
-    __slots__ = ("value", "type", "text", "date", "boolean", "_tokens")
+    __slots__ = ("value", "type", "text", "number", "date", "boolean", "_tokens")
 
     def __init__(self, value: Any):
         self.value = value
         self.type = infer_type(value)
         self.text = normalize_text(value)
+        try:
+            self.number = float(value) if self.type.is_numeric else None
+        except OverflowError:  # an int beyond float range: compared as text
+            self.number = None
         self.date = _as_date(value) if self.type is DataType.DATE else None
-        self.boolean = coerce(value, DataType.BOOLEAN) if self.type is DataType.BOOLEAN else None
+        if self.type is DataType.BOOLEAN:
+            self.boolean = coerce(value, DataType.BOOLEAN)
+        else:
+            self.boolean = self.number == 1.0 if self.number in (0.0, 1.0) else None
         self._tokens: Optional[List[str]] = None
 
     @property
@@ -114,30 +124,28 @@ class PreparedValue:
 
 
 def prepared_similarity(
-    left: PreparedValue,
-    right: PreparedValue,
-    token_similarity: Optional[Callable[[str, str], float]] = None,
+    left: PreparedValue, right: PreparedValue, table: Optional[TokenPairTable] = None
 ) -> float:
     """Type-dispatching similarity of two prepared, non-null cells in ``[0, 1]``.
 
     * Numbers → :func:`numeric_similarity`.
     * Dates → :func:`date_similarity`.
-    * Booleans → 1.0 when both parse to the same truth value (``'yes'``,
-      ``'TRUE'`` and ``True`` agree), else 0.0.
+    * A boolean against a boolean or a 0/1 number → 1.0 when both have the
+      same truth value (``'yes'``, ``'TRUE'``, ``True``, ``1`` and ``'1'``
+      agree), else 0.0.
     * Everything else → hybrid string similarity: max of normalised edit
       distance and Monge-Elkan (token-order tolerant) when either text has
       several words.
 
-    *token_similarity* is Monge-Elkan's secondary token measure (Jaro-Winkler
-    when ``None``); a batch scorer passes a memoised Jaro-Winkler.
+    *table* is Monge-Elkan's Jaro-Winkler token-pair table; a batch scorer
+    passes one it keeps for the whole batch.
     """
-    left_type = left.type
-    right_type = right.type
-    if left_type.is_numeric and right_type.is_numeric:
-        return numeric_similarity(float(left.value), float(right.value))
-    if left_type is DataType.DATE and right_type is DataType.DATE:
+    if left.number is not None and right.number is not None:
+        return numeric_similarity(left.number, right.number)
+    if left.type is DataType.DATE and right.type is DataType.DATE:
         return _date_decay(left.date, right.date)
-    if left_type is DataType.BOOLEAN and right_type is DataType.BOOLEAN:
+    # two numbers returned above, so here at least one side is a boolean
+    if left.boolean is not None and right.boolean is not None:
         return 1.0 if left.boolean is right.boolean else 0.0
 
     left_text = left.text
@@ -146,7 +154,7 @@ def prepared_similarity(
         return 1.0
     edit = levenshtein_similarity(left_text, right_text, normalize=False)
     if " " in left_text or " " in right_text:
-        hybrid = monge_elkan_tokens(left.tokens, right.tokens, token_similarity)
+        hybrid = monge_elkan_tokens(left.tokens, right.tokens, table=table)
         return max(edit, hybrid)
     return edit
 

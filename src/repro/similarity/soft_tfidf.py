@@ -18,7 +18,9 @@ attribute values across every seed's field matrix.  Two bounded caches
 memoise that repeated work: a token-pair cache for the secondary measure and,
 once the instance is fitted, a per-value cache of TF-IDF vectors (cleared by
 every refit).  Each cached value is a pure function of its key under the
-current model, so the caches can change runtimes but never scores.
+current model, so the caches can change runtimes but never scores.  Most
+token pairs cannot pass θ at all; a character-set bound on Jaro-Winkler
+skips them without evaluating it (:meth:`SoftTfIdfSimilarity._secondary_similarity`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.similarity.base import SimilarityMeasure
-from repro.similarity.jaro import jaro_winkler_similarity
+from repro.similarity.jaro import jaro_winkler_bound, jaro_winkler_similarity
 from repro.similarity.tfidf import TfIdfVectorizer
 
 __all__ = ["SoftTfIdfSimilarity"]
@@ -64,6 +66,7 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
         self.threshold = threshold
         self.secondary_cache_size = secondary_cache_size
         self._secondary_cache: Dict[Tuple[str, str], float] = {}
+        self._char_sets: Dict[str, frozenset] = {}
         self._vectors: Dict[str, Dict[str, float]] = {}
         self._fitted = False
         if corpus is not None:
@@ -128,31 +131,47 @@ class SoftTfIdfSimilarity(SimilarityMeasure):
         return vector
 
     def _secondary_similarity(self, left_token: str, right_token: str) -> float:
-        """The secondary measure, memoised per token pair.
+        """The secondary measure of a token pair the cache lacks, remembered;
+        ``0.0`` for a Jaro-Winkler pair whose :func:`jaro_winkler_bound`
+        cannot exceed θ.
 
-        The default Jaro-Winkler is symmetric bit for bit, so its result is
-        also stored for the reversed pair, which the reverse ``_directed``
-        pass asks for; any other secondary keeps one entry per ordered pair.
+        A pair skipped so is at most θ, so it neither passes ``CLOSE`` nor is
+        the best match of a token that does: ``_directed`` picks the same
+        ``N(w, T)`` and adds the same terms.  Jaro-Winkler and its bound are
+        symmetric, so the verdict is also stored for the reversed pair, which
+        the reverse ``_directed`` pass asks for.  Any other secondary is
+        always evaluated and keeps one entry per ordered pair.
         """
-        key = (left_token, right_token)
-        similarity = self._secondary_cache.get(key)
-        if similarity is None:
-            similarity = self._remember(
-                self._secondary_cache, key, self.secondary(left_token, right_token)
-            )
-            if self.secondary is jaro_winkler_similarity:
-                self._remember(self._secondary_cache, (right_token, left_token), similarity)
-        return similarity
+        cache, key = self._secondary_cache, (left_token, right_token)
+        if self.secondary is not jaro_winkler_similarity:
+            return self._remember(cache, key, self.secondary(left_token, right_token))
+        similarity = 0.0
+        chars = self._chars(left_token), self._chars(right_token)
+        # 1e-9: a margin for rounding, far below any gap between bound and value
+        if jaro_winkler_bound(left_token, right_token, *chars) + 1e-9 > self.threshold:
+            similarity = jaro_winkler_similarity(left_token, right_token)
+        self._remember(cache, key, similarity)
+        return self._remember(cache, (right_token, left_token), similarity)
+
+    def _chars(self, token: str) -> frozenset:
+        """The character set of *token*, memoised for the bound."""
+        chars = self._char_sets.get(token)
+        if chars is None:
+            chars = self._remember(self._char_sets, token, frozenset(token))
+        return chars
 
     def _directed(self, source: Dict[str, float], target: Dict[str, float]) -> float:
         total = 0.0
+        cache = self._secondary_cache
         for token, source_weight in source.items():
             if token in target:
                 best_token, best_similarity = token, 1.0
             else:
                 best_token, best_similarity = None, 0.0
                 for candidate in target:
-                    similarity = self._secondary_similarity(token, candidate)
+                    similarity = cache.get((token, candidate))
+                    if similarity is None:
+                        similarity = self._secondary_similarity(token, candidate)
                     if similarity > best_similarity:
                         best_token, best_similarity = candidate, similarity
             if best_token is not None and best_similarity > self.threshold:

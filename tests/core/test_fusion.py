@@ -280,6 +280,35 @@ class TestConflictReport:
         assert set(conflict.distinct_values) == {22, 23}
         assert "age" in str(conflict)
 
+    def test_counts_build_no_conflict_objects(self, monkeypatch):
+        # the pipeline reads only the counts; the objects wait for a reader
+        relation = Relation.from_dicts(
+            [
+                {"objectID": 0, "age": 22, "city": "Berlin", "zip": None, "sourceID": "ee"},
+                {"objectID": 0, "age": 23, "city": None, "zip": "10115", "sourceID": "cs"},
+            ],
+            name="students",
+        )
+        built = []
+        original = Conflict.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Conflict, "__init__", counting)
+        report = find_conflicts(relation)
+        assert (report.contradiction_count, report.uncertainty_count) == (1, 2)
+        assert built == []
+        conflicts = report.conflicts
+        assert [(c.column, c.kind) for c in conflicts] == [
+            ("age", ConflictKind.CONTRADICTION),
+            ("city", ConflictKind.UNCERTAINTY),
+            ("zip", ConflictKind.UNCERTAINTY),
+        ]
+        assert report.conflicts is conflicts and len(built) == 3
+        assert (report.contradiction_count, report.uncertainty_count) == (1, 2)
+
     def test_source_column_absent(self):
         relation = Relation.from_dicts(
             [{"objectID": 0, "v": 1}, {"objectID": 0, "v": 2}], name="r"

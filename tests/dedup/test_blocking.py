@@ -293,7 +293,7 @@ class TestTokenBlocking:
         def fail_build(self, relation, attributes):  # pragma: no cover - guard
             raise AssertionError("cold build must not run when the view serves")
 
-        view = SimpleNamespace(token_index=lambda relation, attributes: prepared)
+        view = SimpleNamespace(token_index=lambda relation, attributes, cap: prepared)
         monkeypatch.setattr(TokenBlocking, "build_index", fail_build)
         assert set(strategy.pairs(people, ["name", "city"], view)) == expected
 
@@ -304,13 +304,14 @@ class TestTokenBlocking:
         baseline = set(TokenBlocking().pairs(people, ["name", "city"]))
         calls = []
 
-        def declining(relation, attributes):
-            calls.append(tuple(attributes))
+        def declining(relation, attributes, cap):
+            calls.append((tuple(attributes), cap))
             return None
 
         view = SimpleNamespace(token_index=declining)
         assert set(strategy.pairs(people, ["name", "city"], view)) == baseline
-        assert calls == [("name", "city")]
+        # pairs() hands the view its block-size cap
+        assert calls == [(("name", "city"), strategy.effective_cap(len(people)))]
 
     def test_mutated_relation_is_not_served_stale_candidates(self, people):
         # Without a prepared view every pairs() call tokenises the

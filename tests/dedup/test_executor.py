@@ -8,7 +8,6 @@ import pytest
 
 from repro.datagen.corruptor import CorruptionConfig
 from repro.datagen.scenarios import cd_stores_scenario, students_scenario
-from repro.dedup import similarity_measure
 from repro.dedup.blocking.token import TokenBlocking
 from repro.dedup.descriptions import AttributeSelection, select_interesting_attributes
 from repro.dedup.detector import DuplicateDetector
@@ -19,6 +18,7 @@ from repro.engine.relation import Relation
 from repro.matching.dumas import DumasMatcher
 from repro.matching.multi import MultiMatcher
 from repro.matching.transform import transform_sources
+from repro.similarity import monge_elkan
 from repro.similarity.jaro import jaro_winkler_similarity
 
 
@@ -176,7 +176,7 @@ class TestColumnarBatchParity:
             calls.append((left, right))
             return jaro_winkler_similarity(left, right)
 
-        monkeypatch.setattr(similarity_measure, "jaro_winkler_similarity", counting)
+        monkeypatch.setattr(monge_elkan, "jaro_winkler_similarity", counting)
         scorer = measure.columnar_scorer(relation)
         both_ways = pairs + [(j, i) for i, j in pairs]
         scores = scorer.similarities(both_ways)

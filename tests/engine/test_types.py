@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 
 from repro.engine.types import (
     _DATE_FORMATS,
+    _FALSE_LITERALS,
+    _FLOAT_RE,
+    _INT_RE,
+    _NULL_LITERALS,
+    _TRUE_LITERALS,
     _parse_date,
     DataType,
     coerce,
@@ -275,3 +280,56 @@ class TestParseDateGate:
     def test_non_digit_first_character_is_rejected(self):
         assert _parse_date("Jan 31 2005") is None
         assert _parse_date("") is None
+
+
+def unshortcut_infer_type(value):
+    """``infer_type`` of a string without the first-letter skip: the oracle."""
+    text = value.strip()
+    if text.lower() in _NULL_LITERALS:
+        return DataType.ANY
+    if _INT_RE.match(text):
+        return DataType.INTEGER
+    if _FLOAT_RE.match(text):
+        return DataType.FLOAT
+    if text.lower() in _TRUE_LITERALS or text.lower() in _FALSE_LITERALS:
+        return DataType.BOOLEAN
+    if _parse_date(text) is not None:
+        return DataType.DATE
+    return DataType.STRING
+
+
+#: Letters of several scripts and cases (titlecase, modifier and other
+#: letters), digits that ``\d`` and ``isdigit`` accept, a superscript two,
+#: signs, points, exponents and whitespace.
+INFER_ALPHABET = (
+    "abeEnNtTyY\u00e9\u00df\u01c5\u02b0\u00aa\u4e2d\u03a9\u2167"
+    + ASCII_DIGITS + "".join(UNICODE_DIGITS) + "\u00b2+-.,/: \t\n"
+)
+
+
+@st.composite
+def literal_text(draw):
+    """A null or boolean literal in any case, maybe padded or extended."""
+    word = draw(st.sampled_from(sorted(_NULL_LITERALS | _TRUE_LITERALS | _FALSE_LITERALS)))
+    word = "".join(char.upper() if draw(st.booleans()) else char for char in word)
+    pad = st.sampled_from(["", " ", "\t", "\n "])
+    return draw(pad) + word + draw(st.sampled_from(["", "", "x", "1"])) + draw(pad)
+
+
+class TestInferTypeShortcut:
+    """A stripped text opening with a letter skips the number patterns: it
+    is a null literal, a boolean or STRING, as the pattern path finds."""
+
+    @given(st.one_of(st.text(alphabet=INFER_ALPHABET, max_size=12), literal_text(),
+                     date_like_text(), noise_text))
+    @settings(max_examples=600, deadline=None)
+    def test_shortcut_equals_the_pattern_path(self, value):
+        assert infer_type(value) is unshortcut_infer_type(value)
+
+    def test_literals_in_any_case(self):
+        for value in ("Yes", " NULL ", "nA", "F", "True", "N/A", "\\N", "NaN", "none"):
+            assert infer_type(value) is unshortcut_infer_type(value)
+        assert infer_type("Yes") is DataType.BOOLEAN
+        assert infer_type(" NULL ") is DataType.ANY
+        assert infer_type("e5") is DataType.STRING
+        assert infer_type("\u00b2") is DataType.STRING

@@ -7,10 +7,12 @@ prebuilt seeding statistics equal the cold computation — so preparing can
 change runtimes but never results.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.datagen.corruptor import CorruptionConfig
-from repro.datagen.scenarios import students_scenario
+from repro.datagen.scenarios import cd_stores_scenario, students_scenario
 from repro.dedup.blocking.token import TokenBlocking
 from repro.dedup.descriptions import select_interesting_attributes
 from repro.engine.catalog import Catalog
@@ -23,9 +25,22 @@ from repro.prepare import SourcePreparer
 @pytest.fixture(scope="module")
 def prepared_setup():
     """Catalog + prepared artifacts + matched and combined student sources."""
-    dataset = students_scenario(
-        entity_count=80, corruption=CorruptionConfig.low(), seed=41
+    return prepare_and_combine(
+        students_scenario(entity_count=80, corruption=CorruptionConfig.low(), seed=41)
     )
+
+
+@pytest.fixture(scope="module", params=["students", "cds"])
+def any_setup(request, prepared_setup):
+    """The students setup, and three CD stores (a merge over three sources)."""
+    if request.param == "students":
+        return prepared_setup
+    return prepare_and_combine(cd_stores_scenario(entity_count=60, store_count=3, seed=7))
+
+
+def prepare_and_combine(dataset):
+    """The prepared bundle, its merge view, the combined relation and its
+    interesting attributes, for *dataset*'s matched sources."""
     catalog = Catalog()
     for alias, relation in dataset.sources.items():
         catalog.register(alias, relation)
@@ -64,6 +79,35 @@ class TestTokenIndexMerge:
     def test_source_id_attribute_is_declined(self, prepared_setup):
         _, view, combined, attributes = prepared_setup
         assert view.token_index(combined, list(attributes) + ["sourceID"]) is None
+
+
+class TestCappedMerge:
+    """``pairs()`` hands its cap to the merge, which leaves out every token
+    whose merged block must exceed it: the candidate sequence is the
+    uncapped merge's, and its set the cold path's."""
+
+    @pytest.mark.parametrize("cap", [2, 3, 10, 50])
+    def test_capped_merge_keeps_the_candidate_sequence(self, any_setup, cap):
+        _, view, combined, attributes = any_setup
+        strategy = TokenBlocking(max_block_size=cap, max_block_fraction=1.0)
+        uncapped = SimpleNamespace(
+            token_index=lambda relation, attributes, cap: view.token_index(relation, attributes)
+        )
+        capped = list(strategy.pairs(combined, attributes, view))
+        assert capped == list(strategy.pairs(combined, attributes, uncapped))
+        assert set(capped) == set(strategy.pairs(combined, attributes))
+
+    @pytest.mark.parametrize("cap", [2, 3, 10, 50])
+    def test_every_omitted_token_has_a_block_above_the_cap(self, any_setup, cap):
+        _, view, combined, attributes = any_setup
+        full = view.token_index(combined, attributes)
+        capped = view.token_index(combined, attributes, cap)
+        assert list(capped) == [token for token in full if token in capped]
+        omitted = [token for token in full if token not in capped]
+        assert all(capped[token] == full[token] for token in capped)
+        assert all(len(full[token]) > cap for token in omitted)
+        if cap <= 3:
+            assert omitted  # the cap bites on these inputs
 
 
 class TestSeedStatisticsLookup:

@@ -19,6 +19,9 @@ from repro.similarity import (
     ngram_similarity,
     normalize_text,
 )
+from repro.similarity import monge_elkan
+from repro.similarity.jaro import jaro_winkler_bound
+from repro.similarity.monge_elkan import TokenPairTable, monge_elkan_tokens
 from repro.similarity.tfidf import TfIdfVectorizer
 
 text = st.text(alphabet=string.ascii_letters + string.digits + " ", max_size=30)
@@ -238,6 +241,88 @@ class TestJaroOracle:
                     assert jaro_winkler_similarity(a, b).hex() == (
                         jaro_winkler_similarity(b, a).hex()
                     ), (a, b)
+
+
+class TestJaroWinklerBound:
+    """The character-set bound SoftTFIDF skips Jaro-Winkler by is never below it."""
+
+    @staticmethod
+    def check(a, b):
+        similarity = jaro_winkler_similarity(a, b)
+        assert jaro_winkler_bound(a, b) >= similarity, (a, b)
+        # the memoised character sets give the same bound, in either order
+        bound = jaro_winkler_bound(a, b, frozenset(a), frozenset(b))
+        assert bound.hex() == jaro_winkler_bound(b, a).hex() == jaro_winkler_bound(a, b).hex()
+
+    @given(st.text(max_size=24), st.text(max_size=24))
+    @settings(max_examples=300)
+    def test_unicode_text(self, a, b):
+        self.check(a, b)
+
+    @given(st.text(alphabet=NON_ASCII, max_size=16), st.text(alphabet=NON_ASCII, max_size=16))
+    @settings(max_examples=300)
+    def test_non_ascii_text(self, a, b):
+        self.check(a, b)
+
+    @given(repeated_letters, repeated_letters)
+    @settings(max_examples=300)
+    def test_repeated_letters(self, a, b):
+        self.check(a, b)
+
+    @given(affixed_pair(alphabet="abcä "))
+    @settings(max_examples=300)
+    def test_long_common_prefixes(self, pair):
+        self.check(*pair)
+
+    @given(edited_pair())
+    @settings(max_examples=200)
+    def test_edited_copies(self, pair):
+        self.check(*pair)
+
+    def test_empty_and_equal_strings(self):
+        for a, b in (("", ""), ("", "abc"), ("abc", ""), ("abc", "abc"), ("é", "é")):
+            self.check(a, b)
+        assert jaro_winkler_bound("abc", "abc") == 1.0
+        assert jaro_winkler_bound("", "") == 1.0
+        assert jaro_winkler_bound("abc", "xyz") == 0.0
+
+
+class TestMongeElkanTokenTable:
+    """The Jaro-Winkler token-pair table (fresh, or shared and already
+    filled) gives the same floats as a secondary of the caller's own, which
+    is evaluated for every token pair."""
+
+    @given(
+        st.lists(st.text(alphabet="abcé", min_size=1, max_size=6), max_size=6),
+        st.lists(st.text(alphabet="abcé", min_size=1, max_size=6), max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_table_equals_generic_path(self, left, right, symmetric):
+        expected = monge_elkan_tokens(
+            left, right, lambda a, b: jaro_winkler_similarity(a, b), symmetric=symmetric
+        ).hex()
+        assert monge_elkan_tokens(left, right, symmetric=symmetric).hex() == expected
+        table = TokenPairTable()
+        for _ in range(2):  # the second call reads every pair from the table
+            assert monge_elkan_tokens(left, right, symmetric=symmetric, table=table).hex() == (
+                expected
+            )
+
+    def test_one_evaluation_per_unordered_pair(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return jaro_winkler_similarity(a, b)
+
+        monkeypatch.setattr(monge_elkan, "jaro_winkler_similarity", counting)
+        table = TokenPairTable()
+        monge_elkan_tokens(["anna", "schmidt"], ["schmidt", "berlin"], table=table)
+        monge_elkan_tokens(["berlin", "anna"], ["anna", "schmidt"], table=table)
+        # the second call evaluates only ("anna", "anna"); the rest it reads
+        assert calls == [("anna", "schmidt"), ("anna", "berlin"), ("schmidt", "schmidt"),
+                         ("schmidt", "berlin"), ("anna", "anna")]
 
 
 def nfkd_normalize_text(text):

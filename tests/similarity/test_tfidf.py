@@ -17,6 +17,7 @@ from repro.similarity import (
     TfIdfVectorizer,
     cosine_similarity,
     date_similarity,
+    levenshtein_similarity,
     numeric_similarity,
     value_similarity,
 )
@@ -209,6 +210,32 @@ class TestNumericAndValueSimilarity:
         evidence = measure.explain_rows(*relation.rows)
         assert evidence.matched_attributes == ["active"]
         assert evidence.contradicting_attributes == []
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [("1", "yes"), ("0", "no"), (1, True), (1.0, True), ("1", "TRUE"), (0, "f")],
+    )
+    def test_a_boolean_and_its_0_or_1_number_agree(self, left, right):
+        # both cells have one truth value, so they are not a contradiction
+        assert value_similarity(left, right) == value_similarity(right, left) == 1.0
+        relation = Relation(["active"], [(left,), (right,)])
+        measure = DuplicateSimilarityMeasure(AttributeSelection(["active"])).fit(relation)
+        scorer = measure.columnar_scorer(relation)
+        assert scorer.similarities([(0, 1)]) == [measure.compare_rows(*relation.rows)] == [1.0]
+
+    def test_a_boolean_against_another_number(self):
+        assert value_similarity("1", "no") == 0.0
+        assert value_similarity(0, True) == 0.0
+        # 2 has no truth value: the pair is still compared as text
+        assert value_similarity("2", "yes") == levenshtein_similarity("2", "yes")
+        # two numbers stay numbers
+        assert value_similarity("1", 1.0) == 1.0
+        assert value_similarity("0", "1") == numeric_similarity(0.0, 1.0)
+
+    def test_an_int_beyond_float_range_is_compared_as_text(self):
+        huge = 10**400
+        assert value_similarity(huge, "abc") == levenshtein_similarity(str(huge), "abc")
+        assert value_similarity(huge, huge) == 1.0
 
     def test_value_similarity_dates(self):
         assert value_similarity(datetime.date(2005, 1, 1), datetime.date(2005, 1, 1)) == 1.0
